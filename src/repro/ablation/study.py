@@ -2,8 +2,8 @@
 
 An :class:`AblationStudy` takes one base :class:`~repro.api.spec.ScenarioSpec`,
 a set of toggleable features, and an attack axis, and runs every
-(attack, ablation-config) cell through the campaign
-:class:`~repro.campaign.runner.ExperimentRunner`.  Each cell is an
+(attack, ablation-config) cell through the shared sweep driver
+:func:`~repro.campaign.sweep.run_sweep`.  Each cell is an
 ordinary spec-and-session run -- the ablation rides inside the spec's
 ``ablation`` field -- so the per-cell rng streams derive from
 ``(seed, scenario_key, purpose)`` through SHA-256 exactly like campaign
@@ -20,16 +20,17 @@ sequential, thread and process backends, pinned by the
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
+from operator import methodcaller
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.ablation.config import AblationConfig
 from repro.ablation.registry import validate_features
+from repro.campaign.sweep import SweepArtifact, SweepRecord, run_sweep
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.spec import ScenarioSpec
-    from repro.campaign.cache import CacheStats, ResultCache
+    from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 
 #: Bump when the ablation artifact schema changes; readers refuse newer.
@@ -37,7 +38,7 @@ ABLATION_ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class AblationCellResult:
+class AblationCellResult(SweepRecord):
     """Scored outcome of one (attack, ablation-config) cell."""
 
     #: ``scenario_key + "/" + config label`` -- unique within a study.
@@ -69,19 +70,13 @@ class AblationCellResult:
     #: stream, which is how backend determinism is asserted.
     oplog_hash: Optional[str]
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the cell (field names preserved verbatim)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AblationCellResult":
-        """Rebuild a cell from its :meth:`to_dict` form."""
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass
-class AblationArtifact:
+class AblationArtifact(SweepArtifact):
     """A completed ablation study: sweep description plus per-cell results."""
+
+    record_type = AblationCellResult
+    latest_version = ABLATION_ARTIFACT_VERSION
 
     #: The base spec every cell was derived from (its ``to_dict`` form).
     base_spec: Dict[str, object]
@@ -89,106 +84,11 @@ class AblationArtifact:
     sweep: Dict[str, object]
     cells: List[AblationCellResult] = field(default_factory=list)
     version: int = ABLATION_ARTIFACT_VERSION
-    #: Cache accounting for the run that built this artifact; in-memory
-    #: provenance only, excluded from serialization and comparison so
-    #: warm-cache runs stay bit-identical to cold ones.
-    cache_stats: Optional["CacheStats"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Cells served from a resumed checkpoint journal (provenance only,
-    #: excluded from serialization and comparison like ``cache_stats``).
-    cells_resumed: int = field(default=0, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        """Sort cells by key so serialization is execution-order independent."""
-        self.cells = sorted(self.cells, key=lambda cell: cell.cell_key)
-
-    def cell(self, cell_key: str) -> AblationCellResult:
-        """The result for one cell key (raises ``KeyError`` if absent)."""
-        for result in self.cells:
-            if result.cell_key == cell_key:
-                return result
-        raise KeyError(f"no cell named {cell_key!r} in this artifact")
-
-    @property
-    def cell_keys(self) -> List[str]:
-        """All cell keys, in the sorted artifact order."""
-        return [result.cell_key for result in self.cells]
 
     @property
     def config_labels(self) -> List[str]:
         """The distinct config labels present, sorted."""
         return sorted({result.config for result in self.cells})
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view: version, base spec, sweep, sorted cells."""
-        return {
-            "version": self.version,
-            "base_spec": self.base_spec,
-            "sweep": self.sweep,
-            "cells": [result.to_dict() for result in self.cells],
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization: stable key order, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AblationArtifact":
-        """Rebuild an artifact, refusing versions newer than this reader."""
-        version = int(data.get("version", -1))
-        if version > ABLATION_ARTIFACT_VERSION:
-            raise ValueError(
-                f"ablation artifact version {version} is newer than supported "
-                f"version {ABLATION_ARTIFACT_VERSION}"
-            )
-        return cls(
-            base_spec=dict(data.get("base_spec", {})),  # type: ignore[arg-type]
-            sweep=dict(data.get("sweep", {})),  # type: ignore[arg-type]
-            cells=[
-                AblationCellResult.from_dict(cell)  # type: ignore[arg-type]
-                for cell in data.get("cells", [])  # type: ignore[union-attr]
-            ],
-            version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AblationArtifact":
-        """Parse an artifact from its canonical JSON text."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        """Write the canonical JSON serialization to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "AblationArtifact":
-        """Read an artifact previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    def diff(self, baseline: "AblationArtifact") -> List[str]:
-        """Human-readable field-level differences against ``baseline``.
-
-        Empty when the artifacts agree on every shared cell and neither
-        has cells the other lacks.
-        """
-        differences: List[str] = []
-        ours = {cell.cell_key: cell for cell in self.cells}
-        theirs = {cell.cell_key: cell for cell in baseline.cells}
-        for key in sorted(set(theirs) - set(ours)):
-            differences.append(f"missing cell: {key}")
-        for key in sorted(set(ours) - set(theirs)):
-            differences.append(f"extra cell: {key}")
-        for key in sorted(set(ours) & set(theirs)):
-            mine, other = ours[key].to_dict(), theirs[key].to_dict()
-            for fname in sorted(mine):
-                if mine[fname] != other[fname]:
-                    differences.append(
-                        f"{key}: {fname} {other[fname]!r} -> {mine[fname]!r}"
-                    )
-        return differences
 
 
 def _ablation_cell_key(spec: "ScenarioSpec") -> str:
@@ -225,7 +125,7 @@ def run_ablation_cell(spec: "ScenarioSpec") -> AblationCellResult:
         data_loss_pages = 0
         pages_offloaded_remote = 0
     return AblationCellResult(
-        cell_key=f"{spec.scenario_key}/{config.label}",
+        cell_key=_ablation_cell_key(spec),
         config=config.label,
         disabled=list(config.disabled),
         attack=spec.attack,
@@ -285,6 +185,9 @@ class AblationStudy:
         )
         object.__setattr__(self, "base_spec", base)
         attacks = tuple(self.attacks) if self.attacks else (base.attack,)
+        repeated = sorted({name for name in attacks if attacks.count(name) > 1})
+        if repeated:
+            raise ValueError(f"repeated attack {repeated[0]!r} in the ablation study")
         object.__setattr__(self, "attacks", attacks)
 
     @classmethod
@@ -336,7 +239,7 @@ class AblationStudy:
         resume: bool = False,
         after_cell: Optional[Callable] = None,
     ) -> AblationArtifact:
-        """Execute every cell through an :class:`ExperimentRunner`.
+        """Execute every cell through :func:`~repro.campaign.sweep.run_sweep`.
 
         The artifact is bit-identical whichever backend runs it: specs
         are picklable, cells are scored in the worker, and the artifact
@@ -349,61 +252,29 @@ class AblationStudy:
         ``after_cell`` fires after each executed cell becomes durable
         (the fault-injection harness's hook point).
         """
-        from repro.campaign.cache import map_with_cache
-        from repro.campaign.checkpoint import build_header, verify_header
-        from repro.campaign.runner import ExperimentRunner
-
-        runner = ExperimentRunner(backend=backend, jobs=jobs)
         sweep = {
             "features": list(self.features),
             "mode": self.mode,
             "attacks": list(self.attacks),
             "configs": [config.label for config in self.configs],
         }
-        completed = None
-        if journal is not None:
-            header = build_header(
-                "ablation",
-                ABLATION_ARTIFACT_VERSION,
-                self.base_spec.seed,
-                {"base_spec": self.base_spec.to_dict(), "sweep": sweep},
-                fingerprint=cache.fingerprint if cache is not None else None,
-            )
-            if resume:
-                found, completed = journal.load()
-                verify_header(found, header)
-                journal.resume()
-            else:
-                journal.start(header)
-        elif resume:
-            raise ValueError("resume=True needs a checkpoint journal")
-        try:
-            cells = map_with_cache(
-                runner,
-                run_ablation_cell,
-                self.specs(),
-                kind="ablation-cell",
-                artifact_version=ABLATION_ARTIFACT_VERSION,
-                key_fn=_ablation_cell_key,
-                hash_fn=lambda spec: spec.spec_hash(),
-                encode=lambda result: result.to_dict(),
-                decode=AblationCellResult.from_dict,
-                cache=cache,
-                journal=journal,
-                completed=completed,
-                after_cell=after_cell,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
-        artifact = AblationArtifact(
-            base_spec=self.base_spec.to_dict(),
-            sweep=sweep,
-            cells=list(cells),
+        run = run_sweep(
+            "ablation",
+            ABLATION_ARTIFACT_VERSION,
+            self.base_spec.seed,
+            {"base_spec": self.base_spec.to_dict(), "sweep": sweep},
+            self.specs(),
+            run_ablation_cell,
+            key_fn=_ablation_cell_key,
+            hash_fn=methodcaller("spec_hash"),
+            encode=AblationCellResult.to_dict,
+            decode=AblationCellResult.from_dict,
+            backend=backend,
+            jobs=jobs,
+            cache=cache,
+            journal=journal,
+            resume=resume,
+            after_cell=after_cell,
         )
-        artifact.cache_stats = cache.stats if cache is not None else None
-        if completed:
-            artifact.cells_resumed = sum(
-                1 for spec in self.specs() if _ablation_cell_key(spec) in completed
-            )
-        return artifact
+        artifact = AblationArtifact(self.base_spec.to_dict(), sweep, run.results)
+        return artifact.with_provenance(run)

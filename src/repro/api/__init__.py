@@ -1,8 +1,8 @@
 """The stable public facade: one way to describe, run and observe a scenario.
 
 ``repro.api`` replaces the ad-hoc per-subsystem entry points (hand-built
-``Defense`` objects, ``build_environment``, direct ``FleetRunner`` /
-``run_roc`` construction) with three concepts:
+``Defense`` objects, ``build_environment``, direct ``FleetRunner``
+construction) with three concepts:
 
 * :class:`ScenarioSpec` -- a declarative, validated, JSON-serializable
   description of one device-under-attack scenario (defense, attack,

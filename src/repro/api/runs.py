@@ -4,62 +4,20 @@ One scenario is a :class:`~repro.api.session.Session`; these functions
 are the supported way to run *many* -- a campaign grid, a
 detection-quality (ROC) sweep, or a trace replay against a whole fleet
 of devices.  All three ride the same machinery underneath (cells become
-``ScenarioSpec`` + ``Session``, parallelism goes through the shared
-:class:`~repro.campaign.runner.ExperimentRunner`), which is exactly the
-point of the facade: one path, many consumers.
+``ScenarioSpec`` + ``Session``, both sweeps run through
+:func:`~repro.campaign.sweep.run_sweep`, parallelism goes through the
+shared :class:`~repro.campaign.runner.ExperimentRunner`), which is
+exactly the point of the facade: one path, many consumers.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.campaign.engine import run_campaign as run_campaign  # noqa: F401  (re-export)
-from repro.campaign.grid import CampaignGrid, CellSpec
-from repro.campaign.roc import RocArtifact, _run_roc
-from repro.campaign.runner import ExperimentRunner
+from repro.campaign.roc import run_roc as run_roc  # noqa: F401  (re-export)
 from repro.workloads.fleet import FleetFactory, FleetReport, FleetRunner
 from repro.workloads.records import TraceRecord
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.campaign.cache import ResultCache
-    from repro.campaign.checkpoint import CheckpointJournal
-
-
-def run_roc(
-    grid: CampaignGrid,
-    backend: str = "sequential",
-    jobs: int = 0,
-    filters: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
-    specs: Optional[List[CellSpec]] = None,
-    cache: Optional["ResultCache"] = None,
-    journal: Optional["CheckpointJournal"] = None,
-    resume: bool = False,
-    after_cell: Optional[Callable] = None,
-) -> RocArtifact:
-    """Execute a grid's cells with detection-quality (ROC) capture.
-
-    The same contract as :func:`repro.api.run_campaign`: every cell runs
-    as a ``ScenarioSpec`` + ``Session`` with the labelled-op capture
-    subscribed to the session bus, ``specs`` overrides the grid
-    expansion, results assemble order-independently, and any backend
-    yields a bit-identical artifact.  ``cache`` / ``journal`` /
-    ``resume`` / ``after_cell`` opt into the persistence layer exactly
-    as on :func:`repro.api.run_campaign` (hit/miss accounting lands on
-    the artifact's ``cache_stats``).
-    """
-    return _run_roc(
-        grid,
-        backend=backend,
-        jobs=jobs,
-        filters=filters,
-        runner=runner,
-        specs=specs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        after_cell=after_cell,
-    )
 
 
 def run_fleet(

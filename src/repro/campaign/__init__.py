@@ -12,7 +12,10 @@ JSON artifact that the golden-run regression suite pins bit-for-bit.
 The capability matrix (``repro.defenses.matrix``) and the fleet runner
 (``repro.workloads.fleet``) are thin facades over this package.
 
-Long and repeated sweeps ride an opt-in persistence layer
+Every sweep kind (campaign, ROC, ablation, fuzz) runs through one
+driver, :func:`~repro.campaign.sweep.run_sweep`, and serializes through
+one artifact base, :class:`~repro.campaign.sweep.SweepArtifact`.  Long
+and repeated sweeps ride an opt-in persistence layer
 (:mod:`repro.campaign.cache` and :mod:`repro.campaign.checkpoint`): a
 content-addressed :class:`ResultCache` makes re-runs of unchanged cells
 free, and an append-only fsync'd :class:`CheckpointJournal` lets a
@@ -45,6 +48,7 @@ from repro.campaign.roc import (
 )
 from repro.campaign.runner import ExperimentRunner
 from repro.campaign.seeding import derive_seed
+from repro.campaign.sweep import SweepArtifact, SweepRecord, SweepRun, run_sweep
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -63,11 +67,15 @@ __all__ = [
     "RocArtifact",
     "RocCurve",
     "RocPoint",
+    "SweepArtifact",
+    "SweepRecord",
+    "SweepRun",
     "code_fingerprint",
     "derive_seed",
     "run_campaign",
     "run_cell",
     "run_roc",
     "run_roc_cell",
+    "run_sweep",
     "write_artifact_stream",
 ]

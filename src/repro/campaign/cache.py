@@ -6,9 +6,9 @@ seeds), and the golden suites prove execution is bit-identical across
 backends -- so a stored result is as good as a fresh one.  This module
 exploits that: a :class:`ResultCache` stores each cell's JSON payload
 under a key derived from ``(spec_hash, artifact_version,
-code_fingerprint)``, and :func:`map_with_cache` lets the campaign, ROC
-and ablation sweeps serve cells from the store instead of executing
-them, with hit/miss/invalidation accounting surfaced through
+code_fingerprint)``, and :func:`~repro.campaign.sweep.run_sweep` lets
+every sweep kind serve cells from the store instead of executing them,
+with hit/miss/invalidation accounting surfaced through
 :class:`CacheStats`.
 
 Invalidation is structural, never time-based:
@@ -30,23 +30,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    TypeVar,
-)
-
-from repro.campaign.runner import ExperimentRunner
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.campaign.checkpoint import CheckpointJournal
-
-SpecT = TypeVar("SpecT")
-ResultT = TypeVar("ResultT")
+from typing import Dict, List, Optional
 
 #: Environment variable overriding :func:`code_fingerprint` (the fault
 #: -injection and invalidation tests pin it to known values).
@@ -126,7 +110,7 @@ class ResultCache:
 
     Entries live at ``root/objects/<kind>/<hh>/<spec_hash>.json`` where
     ``kind`` namespaces the payload shape (``campaign-cell``,
-    ``roc-cell``, ``ablation-cell``) and ``hh`` is the first hash byte,
+    ``roc-cell``, ``ablation-cell``, ``fuzz-cell``) and ``hh`` is the first hash byte,
     keeping directories small on million-cell sweeps.  Each entry is a
     JSON envelope recording the artifact schema version and code
     fingerprint it was produced under; :meth:`get` refuses (and counts
@@ -197,65 +181,3 @@ class ResultCache:
                 os.unlink(tmp)
             raise
         self.stats.stores += 1
-
-
-def map_with_cache(
-    runner: ExperimentRunner,
-    fn: Callable[[SpecT], ResultT],
-    specs: Sequence[SpecT],
-    *,
-    kind: str,
-    artifact_version: int,
-    key_fn: Callable[[SpecT], str],
-    hash_fn: Callable[[SpecT], str],
-    encode: Callable[[ResultT], object],
-    decode: Callable[[object], ResultT],
-    cache: Optional[ResultCache] = None,
-    journal: Optional["CheckpointJournal"] = None,
-    completed: Optional[Dict[str, object]] = None,
-    after_cell: Optional[Callable[[int, SpecT, ResultT], None]] = None,
-) -> List[ResultT]:
-    """Map ``fn`` over ``specs``, serving what is already known.
-
-    The persistence layer under every sweep path: each spec is resolved
-    in priority order from ``completed`` (a resumed checkpoint
-    journal's records), then the ``cache``, and only then executed
-    through the ``runner`` -- results always come back in input order,
-    exactly like :meth:`ExperimentRunner.map`.  Every freshly executed
-    or cache-served cell is appended to ``journal`` (in JSON ``encode``
-    form) the moment it completes, so a killed sweep can resume from
-    the last durable cell; ``after_cell`` fires after each executed
-    cell becomes durable, which is where the fault-injection harness
-    hooks in.
-    """
-    completed = completed or {}
-    results: List[Optional[ResultT]] = [None] * len(specs)
-    pending: List[SpecT] = []
-    pending_indices: List[int] = []
-    for index, spec in enumerate(specs):
-        key = key_fn(spec)
-        if key in completed:
-            results[index] = decode(completed[key])
-            continue
-        if cache is not None:
-            payload = cache.get(kind, hash_fn(spec), artifact_version)
-            if payload is not None:
-                results[index] = decode(payload)
-                if journal is not None:
-                    journal.append_cell(key, payload)
-                continue
-        pending.append(spec)
-        pending_indices.append(index)
-    for index, result in zip(pending_indices, runner.imap(fn, pending)):
-        spec = specs[index]
-        payload = encode(result)
-        if cache is not None:
-            cache.put(kind, hash_fn(spec), artifact_version, payload)
-        if journal is not None:
-            journal.append_cell(key_fn(spec), payload)
-        results[index] = result
-        if after_cell is not None:
-            after_cell(index, spec, result)
-    # Every slot is filled: specs either resolved above or ran through
-    # the runner, whose imap yields exactly one result per pending item.
-    return results  # type: ignore[return-value]

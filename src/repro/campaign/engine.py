@@ -6,8 +6,8 @@ live factories (the capability matrix's historical fixed-seed path),
 ``execute_cell_scenario`` turns a picklable :class:`CellSpec` into a
 ``ScenarioSpec`` + :class:`~repro.api.session.Session`, ``run_cell``
 reduces the outcome to a :class:`~repro.campaign.results.CellResult`,
-and ``run_campaign`` maps cells through the
-:class:`~repro.campaign.runner.ExperimentRunner`.
+and ``run_campaign`` maps cells through
+:func:`~repro.campaign.sweep.run_sweep`.
 
 The :mod:`repro.api` imports are deliberately function-level: the api
 package imports campaign registries and results at module level, so the
@@ -17,6 +17,7 @@ campaign package must not import it back while initializing.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.campaign.grid import CampaignGrid, CellSpec
@@ -25,8 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.api.session import SessionResult
     from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
-from repro.campaign.results import CampaignArtifact, CellResult
+from repro.campaign.results import ARTIFACT_VERSION, CampaignArtifact, CellResult
 from repro.campaign.runner import ExperimentRunner
+from repro.campaign.sweep import run_sweep
 from repro.defenses.base import Defense
 from repro.sim import SimClock
 from repro.ssd.geometry import SSDGeometry
@@ -145,67 +147,36 @@ def run_campaign(
     to prove execution order does not matter); the artifact sorts cells
     by key either way.
 
-    The persistence layer is opt-in and changes nothing about the
-    artifact's bytes: ``cache`` serves unchanged cells from a
-    content-addressed store instead of executing them (accounting on
-    the returned artifact's ``cache_stats``), ``journal`` makes every
-    completed cell durable the moment it finishes, and ``resume=True``
-    reloads the journal -- verifying its header pins *this* grid, seed,
-    schema version and code fingerprint -- and re-runs only what is
-    missing.  ``after_cell`` fires after each executed cell becomes
-    durable (the fault-injection harness's hook point).
+    The persistence layer of :func:`~repro.campaign.sweep.run_sweep` is
+    opt-in and changes nothing about the artifact's bytes: ``cache``
+    serves unchanged cells from a content-addressed store instead of
+    executing them (accounting on the returned artifact's
+    ``cache_stats``), ``journal`` makes every completed cell durable the
+    moment it finishes, and ``resume=True`` reloads the journal --
+    verifying its header pins *this* grid, seed, schema version and code
+    fingerprint -- and re-runs only what is missing.  ``after_cell``
+    fires after each executed cell becomes durable (the fault-injection
+    harness's hook point).
     """
-    from repro.campaign.cache import map_with_cache
-    from repro.campaign.checkpoint import build_header, verify_header
-    from repro.campaign.results import ARTIFACT_VERSION
-
     if specs is None:
         specs = grid.cells(filters)
-    if runner is None:
-        runner = ExperimentRunner(backend=backend, jobs=jobs)
-    completed: Optional[dict] = None
-    if journal is not None:
-        header = build_header(
-            "campaign",
-            ARTIFACT_VERSION,
-            grid.seed,
-            grid.describe(),
-            fingerprint=cache.fingerprint if cache is not None else None,
-        )
-        if resume:
-            found, completed = journal.load()
-            verify_header(found, header)
-            journal.resume()
-        else:
-            journal.start(header)
-    elif resume:
-        raise ValueError("resume=True needs a checkpoint journal")
-    try:
-        cells = map_with_cache(
-            runner,
-            run_cell,
-            specs,
-            kind="campaign-cell",
-            artifact_version=ARTIFACT_VERSION,
-            key_fn=lambda spec: spec.cell_key,
-            hash_fn=cell_spec_hash,
-            encode=lambda result: result.to_dict(),
-            decode=CellResult.from_dict,
-            cache=cache,
-            journal=journal,
-            completed=completed,
-            after_cell=after_cell,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    resumed = (
-        sum(1 for spec in specs if spec.cell_key in completed) if completed else 0
+    run = run_sweep(
+        "campaign",
+        ARTIFACT_VERSION,
+        grid.seed,
+        grid.describe(),
+        specs,
+        run_cell,
+        key_fn=attrgetter("cell_key"),
+        hash_fn=cell_spec_hash,
+        encode=CellResult.to_dict,
+        decode=CellResult.from_dict,
+        backend=backend,
+        jobs=jobs,
+        runner=runner,
+        cache=cache,
+        journal=journal,
+        resume=resume,
+        after_cell=after_cell,
     )
-    return CampaignArtifact(
-        campaign_seed=grid.seed,
-        grid=grid.describe(),
-        cells=cells,
-        cache_stats=cache.stats if cache is not None else None,
-        cells_resumed=resumed,
-    )
+    return CampaignArtifact(grid.seed, grid.describe(), run.results).with_provenance(run)

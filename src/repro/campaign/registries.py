@@ -249,6 +249,9 @@ def _check(registry: Dict[str, object], names: List[str], kind: str) -> None:
         raise KeyError(
             f"unknown {kind} {sorted(unknown)}; known: {sorted(registry)}"
         )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated {kind} name {repeated[0]!r}; each may appear once")
 
 
 def validate_names(
@@ -257,7 +260,8 @@ def validate_names(
     workloads: List[str],
     device_configs: List[str],
 ) -> None:
-    """Fail fast (with the full known list) on any unknown grid name."""
+    """Fail fast on any unknown grid name (listing the known ones) or any
+    name repeated on an axis (it would give two cells the same key)."""
     _check(DEFENSES, defenses, "defenses")
     _check(ATTACKS, attacks, "attacks")
     _check(WORKLOADS, workloads, "workloads")

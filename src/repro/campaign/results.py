@@ -12,19 +12,21 @@ field by field.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, TextIO, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, TextIO, Union
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.campaign.cache import CacheStats
+from repro.campaign.sweep import SweepArtifact, SweepRecord
 
 #: Bump when the artifact schema changes; readers refuse newer versions.
 ARTIFACT_VERSION = 2
 
 
 @dataclass(frozen=True)
-class CellResult:
-    """Scored outcome of one (defense, attack, workload, device) cell."""
+class CellResult(SweepRecord):
+    """Scored outcome of one (defense, attack, workload, device) cell.
+
+    Fields newer than an artifact default themselves when it is read.
+    """
 
     cell_key: str
     defense: str
@@ -81,122 +83,18 @@ class CellResult:
     #: violation).  Non-empty means the cell's evidence is not trusted.
     integrity_errors: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the cell (field names preserved verbatim)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CellResult":
-        """Rebuild a cell; fields newer than the artifact default themselves."""
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass
-class CampaignArtifact:
+class CampaignArtifact(SweepArtifact):
     """A completed campaign: grid description plus per-cell results."""
+
+    record_type = CellResult
+    latest_version = ARTIFACT_VERSION
 
     campaign_seed: int
     grid: Dict[str, object]
     cells: List[CellResult] = field(default_factory=list)
     version: int = ARTIFACT_VERSION
-    #: Cache hit/miss accounting for the run that built this artifact.
-    #: In-memory provenance only: deliberately excluded from
-    #: :meth:`to_dict`, comparison and the goldens, so a warm-cache or
-    #: resumed run serializes byte-identically to a cold one.
-    cache_stats: Optional["CacheStats"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Cells served from a resumed checkpoint journal (provenance only,
-    #: excluded from serialization and comparison like ``cache_stats``).
-    cells_resumed: int = field(default=0, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.cells = sorted(self.cells, key=lambda cell: cell.cell_key)
-
-    # -- lookups ----------------------------------------------------------
-
-    def cell(self, cell_key: str) -> CellResult:
-        """The result for one cell key (raises ``KeyError`` if absent)."""
-        for result in self.cells:
-            if result.cell_key == cell_key:
-                return result
-        raise KeyError(f"no cell named {cell_key!r} in this artifact")
-
-    @property
-    def cell_keys(self) -> List[str]:
-        """All cell keys, in the sorted artifact order."""
-        return [result.cell_key for result in self.cells]
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view: version, seed, grid description, sorted cells."""
-        return {
-            "version": self.version,
-            "campaign_seed": self.campaign_seed,
-            "grid": self.grid,
-            "cells": [result.to_dict() for result in self.cells],
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization: stable key order, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CampaignArtifact":
-        """Rebuild an artifact, refusing versions newer than this reader."""
-        version = int(data.get("version", -1))
-        if version > ARTIFACT_VERSION:
-            raise ValueError(
-                f"artifact version {version} is newer than supported "
-                f"version {ARTIFACT_VERSION}"
-            )
-        return cls(
-            campaign_seed=int(data["campaign_seed"]),  # type: ignore[arg-type]
-            grid=dict(data.get("grid", {})),  # type: ignore[arg-type]
-            cells=[CellResult.from_dict(cell) for cell in data.get("cells", [])],  # type: ignore[union-attr]
-            version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignArtifact":
-        """Parse an artifact from its canonical JSON text."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        """Write the canonical JSON serialization to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "CampaignArtifact":
-        """Read an artifact previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    # -- comparison -------------------------------------------------------
-
-    def diff(self, baseline: "CampaignArtifact") -> List[str]:
-        """Human-readable field-level differences against ``baseline``.
-
-        Returns an empty list when the artifacts agree on every cell
-        they share and neither has cells the other lacks.
-        """
-        differences: List[str] = []
-        ours = {cell.cell_key: cell for cell in self.cells}
-        theirs = {cell.cell_key: cell for cell in baseline.cells}
-        for key in sorted(set(theirs) - set(ours)):
-            differences.append(f"missing cell: {key}")
-        for key in sorted(set(ours) - set(theirs)):
-            differences.append(f"extra cell: {key}")
-        for key in sorted(set(ours) & set(theirs)):
-            mine, other = ours[key].to_dict(), theirs[key].to_dict()
-            for fname in sorted(mine):
-                if mine[fname] != other[fname]:
-                    differences.append(
-                        f"{key}: {fname} {other[fname]!r} -> {mine[fname]!r}"
-                    )
-        return differences
 
 
 def _indent_block(value: object, level: int) -> str:

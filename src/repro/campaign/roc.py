@@ -18,16 +18,17 @@ like campaign artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.grid import CampaignGrid, CellSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.campaign.cache import CacheStats, ResultCache
+    from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 from repro.campaign.runner import ExperimentRunner
+from repro.campaign.sweep import SweepArtifact, SweepRecord, run_sweep
 from repro.core.detection import (
     DETECTOR_DEFAULTS,
     DetectionTraceObserver,
@@ -40,7 +41,7 @@ ROC_ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RocPoint:
+class RocPoint(SweepRecord):
     """One detector threshold's confusion counts over a cell's write stream.
 
     Rates are stored (not recomputed) so the serialized artifact is
@@ -56,27 +57,9 @@ class RocPoint:
     false_positive_rate: float
     precision: float
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the point."""
-        return {
-            "threshold": self.threshold,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "true_negatives": self.true_negatives,
-            "false_negatives": self.false_negatives,
-            "true_positive_rate": self.true_positive_rate,
-            "false_positive_rate": self.false_positive_rate,
-            "precision": self.precision,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RocPoint":
-        """Rebuild a point from its JSON form."""
-        return cls(**data)  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
-class RocCurve:
+class RocCurve(SweepRecord):
     """The full threshold sweep of one detector over one cell.
 
     ``auc`` is the trapezoidal area under the (FPR, TPR) curve anchored
@@ -105,30 +88,12 @@ class RocCurve:
         """Stable identifier: cell key plus detector name."""
         return f"{self.cell_key}#{self.detector}"
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the curve (points in threshold order)."""
-        return {
-            "cell_key": self.cell_key,
-            "defense": self.defense,
-            "attack": self.attack,
-            "workload": self.workload,
-            "device_config": self.device_config,
-            "detector": self.detector,
-            "default_threshold": self.default_threshold,
-            "tpr_at_default": self.tpr_at_default,
-            "fpr_at_default": self.fpr_at_default,
-            "auc": self.auc,
-            "defense_detected": self.defense_detected,
-            "samples": self.samples,
-            "points": [point.to_dict() for point in self.points],
-        }
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RocCurve":
-        """Rebuild a curve from its JSON form."""
+    def from_dict(cls, data: Dict[str, Any]) -> "RocCurve":
+        """Rebuild a curve (and its points) from its JSON form."""
         payload = dict(data)
-        points = [RocPoint.from_dict(point) for point in payload.pop("points", [])]
-        return cls(points=points, **payload)  # type: ignore[arg-type]
+        points = [RocPoint(**point) for point in payload.pop("points", [])]
+        return cls(points=points, **payload)
 
 
 def auc_from_points(points: Sequence[RocPoint]) -> float:
@@ -210,109 +175,29 @@ def run_roc_cell(spec: CellSpec) -> List[RocCurve]:
 
 
 @dataclass
-class RocArtifact:
+class RocArtifact(SweepArtifact):
     """A completed detection-quality run: grid description plus curves.
 
-    Mirrors :class:`~repro.campaign.results.CampaignArtifact`: curves
-    are sorted by key, serialization is canonical, and :meth:`diff`
-    explains regressions field by field for the golden suite and the
-    CI baseline check.
+    Curves are keyed ``cell_key#detector`` and sorted by that key;
+    :meth:`curve` and :attr:`curve_keys` are the curve-named lookups.
     """
+
+    records_field = "curves"
+    record_key = "curve_key"
+    record_noun = "curve"
+    record_type = RocCurve
+    latest_version = ROC_ARTIFACT_VERSION
 
     campaign_seed: int
     grid: Dict[str, object]
     curves: List[RocCurve] = field(default_factory=list)
     version: int = ROC_ARTIFACT_VERSION
-    #: Cache accounting for the run that built this artifact; in-memory
-    #: provenance only, excluded from serialization and comparison so
-    #: warm-cache runs stay bit-identical to cold ones.
-    cache_stats: Optional["CacheStats"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Cells served from a resumed checkpoint journal (provenance only,
-    #: excluded from serialization and comparison like ``cache_stats``).
-    cells_resumed: int = field(default=0, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.curves = sorted(self.curves, key=lambda curve: curve.curve_key)
-
-    def curve(self, curve_key: str) -> RocCurve:
-        """The curve for one ``cell_key#detector`` (``KeyError`` if absent)."""
-        for candidate in self.curves:
-            if candidate.curve_key == curve_key:
-                return candidate
-        raise KeyError(f"no curve named {curve_key!r} in this artifact")
-
-    @property
-    def curve_keys(self) -> List[str]:
-        """All curve keys, in the sorted artifact order."""
-        return [curve.curve_key for curve in self.curves]
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view: version, seed, grid description, sorted curves."""
-        return {
-            "version": self.version,
-            "campaign_seed": self.campaign_seed,
-            "grid": self.grid,
-            "curves": [curve.to_dict() for curve in self.curves],
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization: stable key order, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RocArtifact":
-        """Rebuild an artifact, refusing versions newer than this reader."""
-        version = int(data.get("version", -1))
-        if version > ROC_ARTIFACT_VERSION:
-            raise ValueError(
-                f"ROC artifact version {version} is newer than supported "
-                f"version {ROC_ARTIFACT_VERSION}"
-            )
-        return cls(
-            campaign_seed=int(data["campaign_seed"]),  # type: ignore[arg-type]
-            grid=dict(data.get("grid", {})),  # type: ignore[arg-type]
-            curves=[RocCurve.from_dict(curve) for curve in data.get("curves", [])],  # type: ignore[union-attr]
-            version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RocArtifact":
-        """Parse an artifact from its canonical JSON text."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        """Write the canonical JSON serialization to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "RocArtifact":
-        """Read an artifact previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    def diff(self, baseline: "RocArtifact") -> List[str]:
-        """Human-readable curve-level differences against ``baseline``."""
-        differences: List[str] = []
-        ours = {curve.curve_key: curve for curve in self.curves}
-        theirs = {curve.curve_key: curve for curve in baseline.curves}
-        for key in sorted(set(theirs) - set(ours)):
-            differences.append(f"missing curve: {key}")
-        for key in sorted(set(ours) - set(theirs)):
-            differences.append(f"extra curve: {key}")
-        for key in sorted(set(ours) & set(theirs)):
-            mine, other = ours[key].to_dict(), theirs[key].to_dict()
-            for fname in sorted(mine):
-                if mine[fname] != other[fname]:
-                    differences.append(
-                        f"{key}: {fname} {other[fname]!r} -> {mine[fname]!r}"
-                    )
-        return differences
+    curve = SweepArtifact.cell
+    curve_keys = SweepArtifact.cell_keys
 
 
-def _run_roc(
+def run_roc(
     grid: CampaignGrid,
     backend: str = "sequential",
     jobs: int = 0,
@@ -324,87 +209,39 @@ def _run_roc(
     resume: bool = False,
     after_cell: Optional[Callable[[int, CellSpec, List[RocCurve]], None]] = None,
 ) -> RocArtifact:
-    """Shared implementation behind :func:`repro.api.run_roc`.
+    """Execute a grid's cells with detection-quality (ROC) capture.
 
     The same contract as :func:`repro.campaign.engine.run_campaign`:
-    ``specs`` overrides the grid expansion, results are assembled
-    order-independently, and any backend yields the same artifact.
-    The ``cache`` / ``journal`` / ``resume`` persistence layer comes
-    for free through :func:`repro.campaign.cache.map_with_cache` --
-    one journal record per cell, carrying that cell's full curve list.
+    every cell runs as a ``ScenarioSpec`` + ``Session`` with the
+    labelled-op capture subscribed to the session bus, ``specs``
+    overrides the grid expansion, results assemble order-independently,
+    and any backend yields a bit-identical artifact.  ``cache`` /
+    ``journal`` / ``resume`` / ``after_cell`` opt into the persistence
+    layer of :func:`~repro.campaign.sweep.run_sweep` -- one journal
+    record per cell, carrying that cell's full curve list.
     """
-    from repro.campaign.cache import map_with_cache
-    from repro.campaign.checkpoint import build_header, verify_header
     from repro.campaign.engine import cell_spec_hash
 
     if specs is None:
         specs = grid.cells(filters)
-    if runner is None:
-        runner = ExperimentRunner(backend=backend, jobs=jobs)
-    completed = None
-    if journal is not None:
-        header = build_header(
-            "roc",
-            ROC_ARTIFACT_VERSION,
-            grid.seed,
-            grid.describe(),
-            fingerprint=cache.fingerprint if cache is not None else None,
-        )
-        if resume:
-            found, completed = journal.load()
-            verify_header(found, header)
-            journal.resume()
-        else:
-            journal.start(header)
-    elif resume:
-        raise ValueError("resume=True needs a checkpoint journal")
-    try:
-        per_cell = map_with_cache(
-            runner,
-            run_roc_cell,
-            specs,
-            kind="roc-cell",
-            artifact_version=ROC_ARTIFACT_VERSION,
-            key_fn=lambda spec: spec.cell_key,
-            hash_fn=cell_spec_hash,
-            encode=lambda curves: [curve.to_dict() for curve in curves],
-            decode=lambda payload: [RocCurve.from_dict(curve) for curve in payload],
-            cache=cache,
-            journal=journal,
-            completed=completed,
-            after_cell=after_cell,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-    curves = [curve for cell_curves in per_cell for curve in cell_curves]
-    artifact = RocArtifact(
-        campaign_seed=grid.seed, grid=grid.describe(), curves=curves
+    run = run_sweep(
+        "roc",
+        ROC_ARTIFACT_VERSION,
+        grid.seed,
+        grid.describe(),
+        specs,
+        run_roc_cell,
+        key_fn=attrgetter("cell_key"),
+        hash_fn=cell_spec_hash,
+        encode=lambda curves: [curve.to_dict() for curve in curves],
+        decode=lambda payload: [RocCurve.from_dict(curve) for curve in payload],
+        backend=backend,
+        jobs=jobs,
+        runner=runner,
+        cache=cache,
+        journal=journal,
+        resume=resume,
+        after_cell=after_cell,
     )
-    artifact.cache_stats = cache.stats if cache is not None else None
-    if completed:
-        artifact.cells_resumed = sum(
-            1 for spec in specs if spec.cell_key in completed
-        )
-    return artifact
-
-
-def run_roc(
-    grid: CampaignGrid,
-    backend: str = "sequential",
-    jobs: int = 0,
-    filters: Optional[Sequence[str]] = None,
-    runner: Optional[ExperimentRunner] = None,
-    specs: Optional[List[CellSpec]] = None,
-) -> RocArtifact:
-    """Deprecated alias of :func:`repro.api.run_roc` (same contract).
-
-    Kept as a warn-once shim so pre-facade callers keep working; new
-    code imports ``run_roc`` from :mod:`repro.api`.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once("repro.campaign.roc.run_roc", "repro.api.run_roc")
-    return _run_roc(
-        grid, backend=backend, jobs=jobs, filters=filters, runner=runner, specs=specs
-    )
+    curves = [curve for cell_curves in run.results for curve in cell_curves]
+    return RocArtifact(grid.seed, grid.describe(), curves).with_provenance(run)

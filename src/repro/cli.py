@@ -170,12 +170,13 @@ def _expand_cells(grid, filters):
     return specs
 
 
-def _persistence_from_args(args):
-    """Build the cache / journal / resume trio from the shared CLI flags.
+def _sweep_options(args) -> dict:
+    """The run_sweep keyword options every sweep subcommand shares.
 
-    ``--cache-dir DIR`` turns on the content-addressed result cache
-    (``DIR/cache/``) and the checkpoint journal (``DIR/journal.jsonl``);
-    ``--resume DIR`` reuses an existing directory's journal, re-running
+    ``--backend``/``--jobs`` pick the runner.  ``--cache-dir DIR`` turns
+    on the content-addressed result cache (``DIR/cache/``) and the
+    checkpoint journal (``DIR/journal.jsonl``); ``--resume DIR`` reuses
+    an existing directory's journal (never creating it), re-running
     only the cells it is missing; ``--no-cache`` keeps the journal but
     skips cache lookups and stores.  ``REPRO_CRASH_AFTER_CELLS=N`` arms
     the fault-injection hook that hard-exits after the N-th executed
@@ -186,29 +187,38 @@ def _persistence_from_args(args):
     from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal, crash_hook_from_env
 
-    resume = bool(getattr(args, "resume", None))
-    state_dir = getattr(args, "resume", None) or getattr(args, "cache_dir", None)
+    state_dir = args.resume or args.cache_dir
     cache = journal = None
     if state_dir:
-        os.makedirs(state_dir, exist_ok=True)
-        if not getattr(args, "no_cache", False):
+        if not args.resume:
+            os.makedirs(state_dir, exist_ok=True)
+        if not args.no_cache:
             cache = ResultCache(os.path.join(state_dir, "cache"))
         journal = CheckpointJournal(os.path.join(state_dir, "journal.jsonl"))
-    return cache, journal, resume, crash_hook_from_env()
+    return {
+        "backend": _resolve_backend(args),
+        "jobs": args.jobs,
+        "cache": cache,
+        "journal": journal,
+        "resume": bool(args.resume),
+        "after_cell": crash_hook_from_env(),
+    }
 
 
-def _persistence_sections(sections, artifact, cache, resume) -> None:
+def _persistence_sections(sections, artifact, options) -> None:
     """Append the cache/resume accounting lines to the report."""
-    if cache is not None and artifact.cache_stats is not None:
-        sections.append(f"cache: {artifact.cache_stats.summary()} ({cache.root})")
-    if resume:
-        resumed = getattr(artifact, "cells_resumed", None)
-        if resumed is not None:
-            sections.append(f"resume: {resumed} cells restored from the journal")
+    if options["cache"] is not None:
+        sections.append(
+            f"cache: {artifact.cache_stats.summary()} ({options['cache'].root})"
+        )
+    if options["resume"]:
+        sections.append(
+            f"resume: {artifact.cells_resumed} cells restored from the journal"
+        )
 
 
 def _save_and_check_baseline(sections, artifact, args, journal=None) -> str:
-    """Shared artifact tail of `campaign` / `roc`: --output and --baseline.
+    """Shared artifact tail of every sweep subcommand: --output and --baseline.
 
     Appends the save/compare outcome to ``sections`` and returns the
     joined output; a baseline mismatch prints everything and exits 1.
@@ -266,31 +276,21 @@ def _cmd_campaign(args: argparse.Namespace) -> str:
             ("victim_files", args.victim_files),
         ),
     )
-    backend = _resolve_backend(args)
     specs = _expand_cells(grid, args.filter)
-    cache, journal, resume, after_cell = _persistence_from_args(args)
-    artifact = run_campaign(
-        grid,
-        backend=backend,
-        jobs=args.jobs,
-        specs=specs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        after_cell=after_cell,
-    )
+    options = _sweep_options(args)
+    artifact = run_campaign(grid, specs=specs, **options)
 
     sections = [
         f"Campaign: {len(artifact.cells)} cells, seed {grid.seed}, "
-        f"backend {backend}, jobs {args.jobs or 'auto'}",
+        f"backend {options['backend']}, jobs {args.jobs or 'auto'}",
         render_campaign_capability(artifact),
         render_campaign_overhead(artifact),
     ]
     forensics_table = render_campaign_forensics(artifact)
     if forensics_table:
         sections.append(forensics_table)
-    _persistence_sections(sections, artifact, cache, resume)
-    return _save_and_check_baseline(sections, artifact, args, journal=journal)
+    _persistence_sections(sections, artifact, options)
+    return _save_and_check_baseline(sections, artifact, args, journal=options["journal"])
 
 
 def _cmd_roc(args: argparse.Namespace) -> str:
@@ -312,29 +312,19 @@ def _cmd_roc(args: argparse.Namespace) -> str:
             ("victim_files", args.victim_files),
         ),
     )
-    backend = _resolve_backend(args)
     specs = _expand_cells(grid, args.filter)
-    cache, journal, resume, after_cell = _persistence_from_args(args)
-    artifact = run_roc(
-        grid,
-        backend=backend,
-        jobs=args.jobs,
-        specs=specs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        after_cell=after_cell,
-    )
+    options = _sweep_options(args)
+    artifact = run_roc(grid, specs=specs, **options)
 
     sections = [
         f"Detection quality: {len(artifact.curves)} ROC curves over "
         f"{len({c.cell_key for c in artifact.curves})} cells, seed {grid.seed}, "
-        f"backend {backend}, jobs {args.jobs or 'auto'}",
+        f"backend {options['backend']}, jobs {args.jobs or 'auto'}",
         render_detection_quality(artifact),
     ]
     if not args.quality_only:
         sections.append(render_detection_roc(artifact))
-    _persistence_sections(sections, artifact, cache, resume)
+    _persistence_sections(sections, artifact, options)
     return _save_and_check_baseline(sections, artifact, args)
 
 
@@ -376,28 +366,20 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
         )
     except (AblationError, KeyError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
-    backend = _resolve_backend(args)
-    cache, journal, resume, after_cell = _persistence_from_args(args)
-    artifact = study.run(
-        backend=backend,
-        jobs=args.jobs,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        after_cell=after_cell,
-    )
+    options = _sweep_options(args)
+    artifact = study.run(**options)
     impacts = calculate_metrics(artifact)
 
     sections = [
         f"Ablation: {len(artifact.cells)} cells "
         f"({len(study.configs)} configs x {len(study.attacks)} attacks, "
         f"mode {study.mode}), seed {base.seed}, "
-        f"backend {backend}, jobs {args.jobs or 'auto'}",
+        f"backend {options['backend']}, jobs {args.jobs or 'auto'}",
         render_ablation_summary(artifact),
     ]
     if impacts:
         sections.append(render_impact_table(impacts))
-    _persistence_sections(sections, artifact, cache, resume)
+    _persistence_sections(sections, artifact, options)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(render_impact_csv(impacts) + "\n")
@@ -758,20 +740,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
     ledger = None
     if args.coverage_ledger and os.path.exists(args.coverage_ledger):
         ledger = CoverageLedger.load(args.coverage_ledger)
-    backend = _resolve_backend(args)
-    cache, journal, resume, after_cell = _persistence_from_args(args)
+    options = _sweep_options(args)
     artifact = run_fuzz(
         seed,
         args.budget,
         config,
-        backend=backend,
-        jobs=args.jobs,
         ledger=ledger,
         toward_uncovered=args.toward_uncovered,
-        cache=cache,
-        journal=journal,
-        resume=resume,
-        after_cell=after_cell,
+        **options,
     )
 
     universe = config.universe()
@@ -779,7 +755,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
     merged.merge(artifact.ledger)
     sections = [
         f"Fuzz: seed {seed}, budget {args.budget}, space {args.space}, "
-        f"backend {backend}, jobs {args.jobs or 'auto'}"
+        f"backend {options['backend']}, jobs {args.jobs or 'auto'}"
         + (", toward-uncovered" if args.toward_uncovered else ""),
         f"specs: {len(artifact.spec_hashes)} drawn, {len(artifact.cells)} "
         f"distinct executed; rejected draws {artifact.stats['rejected']}, "
@@ -832,7 +808,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> str:
         sections.append(
             f"pack with {len(entries)} pinned entries written to {args.emit_pack}"
         )
-    _persistence_sections(sections, artifact, cache, resume)
+    _persistence_sections(sections, artifact, options)
     return _save_and_check_baseline(sections, artifact, args)
 
 
@@ -958,10 +934,10 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 def _parent_parsers() -> dict:
     """Shared parent parsers for flags repeated across subcommands.
 
-    ``campaign`` / ``roc`` / ``run`` / ``fleet`` used to each declare
-    their own copies of ``--jobs`` / ``--backend`` / ``--output`` /
-    ``--seed``; declaring them once keeps help texts, defaults and types
-    in a single place.
+    ``campaign`` / ``roc`` / ``ablate`` / ``fuzz`` / ``run`` / ``fleet``
+    used to each declare their own copies of ``--jobs`` / ``--backend``
+    / ``--output`` / ``--seed`` / ``--baseline``; declaring them once
+    keeps help texts, defaults and types in a single place.
     """
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument(
@@ -980,12 +956,14 @@ def _parent_parsers() -> dict:
     output.add_argument(
         "--output", default=None, help="write the result/artifact JSON here"
     )
-    artifact = argparse.ArgumentParser(add_help=False)
-    artifact.add_argument(
+    baseline = argparse.ArgumentParser(add_help=False)
+    baseline.add_argument(
         "--baseline", default=None, metavar="ARTIFACT",
-        help="diff against a stored artifact; exit 1 on any difference",
+        help="diff against a stored artifact of the same kind; exit 1 on "
+             "any difference",
     )
-    artifact.add_argument(
+    grid_filter = argparse.ArgumentParser(add_help=False)
+    grid_filter.add_argument(
         "--filter", nargs="*", default=None, metavar="PATTERN",
         help="only run cells whose defense/attack/workload/device key matches",
     )
@@ -1010,7 +988,8 @@ def _parent_parsers() -> dict:
         "seed": seed,
         "parallel": parallel,
         "output": output,
-        "artifact": artifact,
+        "baseline": baseline,
+        "filter": grid_filter,
         "cache": cache,
     }
 
@@ -1081,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         parents=[
             parents["seed"], parents["parallel"], parents["output"],
-            parents["cache"],
+            parents["baseline"], parents["cache"],
         ],
         help="Coverage-guided scenario fuzzing over the spec space",
         description=(
@@ -1116,10 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-pack", default=None, metavar="PACK_JSON",
         help="freeze the executed cells into a scenario pack with pinned "
              "expectations (runnable via repro run --pack)",
-    )
-    fuzz.add_argument(
-        "--baseline", default=None, metavar="ARTIFACT",
-        help="diff against a stored fuzz artifact; exit 1 on any difference",
     )
     fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -1161,7 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
     ablate = subparsers.add_parser(
         "ablate",
         parents=[
-            parents["seed"], parents["parallel"], parents["output"], parents["cache"]
+            parents["seed"], parents["parallel"], parents["output"],
+            parents["baseline"], parents["cache"],
         ],
         help="Component-level ablation sweep over one scenario",
     )
@@ -1185,10 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--hours", type=float, default=None, help="pre-attack activity hours"
     )
     ablate.add_argument(
-        "--baseline", default=None, metavar="ARTIFACT",
-        help="diff against a stored ablation artifact; exit 1 on any difference",
-    )
-    ablate.add_argument(
         "--csv", default=None, metavar="PATH",
         help="write the per-feature impact table as CSV here",
     )
@@ -1202,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         parents=[
             parents["seed"], parents["parallel"], parents["output"],
-            parents["artifact"], parents["cache"],
+            parents["baseline"], parents["filter"], parents["cache"],
         ],
         help="Run a defense x attack x workload campaign grid",
         description=(
@@ -1226,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "roc",
         parents=[
             parents["seed"], parents["parallel"], parents["output"],
-            parents["artifact"], parents["cache"],
+            parents["baseline"], parents["filter"], parents["cache"],
         ],
         help="Detection-quality (ROC) sweep of evasive attacks vs defenses",
         description=(
@@ -1354,9 +1326,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse arguments, run the experiment, print its table."""
+    from repro.campaign.checkpoint import CheckpointError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    output = args.func(args)
+    try:
+        output = args.func(args)
+    except CheckpointError as exc:  # --resume against a missing/foreign journal
+        raise SystemExit(f"error: {exc}")
     print(output)
     return 0
 

@@ -9,8 +9,9 @@ and silently *not* shared under the process backend, so results depend
 on the backend choice.
 
 * ``REPRO-C401`` -- a lambda or locally defined callable handed to
-  ``ExperimentRunner.map``/``imap`` or ``map_with_cache`` (unless the
-  receiver is provably never the process backend).
+  ``ExperimentRunner.map``/``imap`` or passed as ``run_sweep``'s
+  ``cell_fn`` (unless the receiver is provably never the process
+  backend).
 * ``REPRO-C402`` -- module-level mutable state (lowercase dict / list /
   set bindings) in a simulation layer.
 """
@@ -29,6 +30,10 @@ MUTABLE_CALLS = frozenset(
      "collections.deque", "deque", "collections.OrderedDict", "OrderedDict"}
 )
 
+#: Position of ``cell_fn`` in ``run_sweep(kind, version, seed, describe,
+#: specs, cell_fn, ...)``.
+RUN_SWEEP_CELL_FN = 5
+
 
 def check_file(ctx: FileContext) -> List[Finding]:
     """Run every concurrency rule over one file context."""
@@ -46,10 +51,9 @@ def _check_submission(node: ast.Call, ctx: FileContext) -> List[Finding]:
     fn: Optional[ast.AST] = None
     where = ""
     chain = ctx.resolve(node.func)
-    if chain is not None and chain.rpartition(".")[2] == "map_with_cache":
-        if len(node.args) >= 2:
-            fn = node.args[1]
-            where = "map_with_cache"
+    if chain is not None and chain.rpartition(".")[2] == "run_sweep":
+        fn = _argument(node, RUN_SWEEP_CELL_FN, "cell_fn")
+        where = "run_sweep"
     elif (
         isinstance(node.func, ast.Attribute)
         and node.func.attr in ("map", "imap")
@@ -78,6 +82,16 @@ def _check_submission(node: ast.Call, ctx: FileContext) -> List[Finding]:
             ),
         )
     ]
+
+
+def _argument(node: ast.Call, position: int, name: str) -> Optional[ast.AST]:
+    """The call's argument at ``position`` or passed as keyword ``name``."""
+    if len(node.args) > position:
+        return node.args[position]
+    for keyword in node.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    return None
 
 
 def _receiver_is_runner(receiver: ast.AST, ctx: FileContext) -> bool:

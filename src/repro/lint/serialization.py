@@ -15,10 +15,11 @@ and cache hits.  These rules guard that contract statically:
   canonical byte-for-byte).
 
 Field extraction is purely static: the non-``compare=False`` fields of
-every ``@dataclass`` are read from the AST, and reachability from each
-schema root follows class names mentioned in field annotations
-(including quoted forward references), resolved through each file's
-import bindings.
+every ``@dataclass`` (plus those it inherits from dataclass bases) are
+read from the AST, and reachability from each schema root follows class
+names mentioned in field annotations (including quoted forward
+references, and the annotations of dataclass bases), resolved through
+each file's import bindings.
 """
 
 from __future__ import annotations
@@ -231,20 +232,36 @@ def _reachable_fields(
     seen = {(start[0], start[1].name)}
     while queue:
         module, node, ctx = queue.pop()
-        fields = _dataclass_fields(node, ctx) or []
+        lineage = _lineage(node, ctx, index)
+        fields = [name for cls, cls_ctx in lineage for name in _dataclass_fields(cls, cls_ctx) or []]
         result[f"{module}.{node.name}"] = sorted(fields)
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign):
-                continue
-            for ident in _annotation_identifiers(stmt):
-                entry = index.resolve_name(ident, ctx)
-                if entry is None:
+        for cls, cls_ctx in lineage:
+            for stmt in cls.body:
+                if not isinstance(stmt, ast.AnnAssign):
                     continue
-                key = (entry[0], entry[1].name)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(entry)
+                for ident in _annotation_identifiers(stmt):
+                    entry = index.resolve_name(ident, cls_ctx)
+                    if entry is None:
+                        continue
+                    key = (entry[0], entry[1].name)
+                    if key not in seen:
+                        seen.add(key)
+                        queue.append(entry)
     return result
+
+
+def _lineage(
+    node: ast.ClassDef, ctx: FileContext, index: _ClassIndex
+) -> List[Tuple[ast.ClassDef, FileContext]]:
+    """The class followed by its dataclass ancestors (inherited fields)."""
+    lineage = [(node, ctx)]
+    for cls, cls_ctx in lineage:
+        for base in cls.bases:
+            if isinstance(base, ast.Name):
+                entry = index.resolve_name(base.id, cls_ctx)
+                if entry is not None and all(entry[1] is not c for c, _ in lineage):
+                    lineage.append((entry[1], entry[2]))
+    return lineage
 
 
 def check_schemas(

@@ -2,9 +2,10 @@
 
 A fuzz session is an ordinary sweep wearing a generated grid: the
 :class:`~repro.scenarios.fuzzer.SpecFuzzer` expands ``(fuzz_seed,
-budget)`` into a deterministic spec sequence, and every spec executes
-through the campaign :class:`~repro.campaign.runner.ExperimentRunner`
-with the full persistence layer riding along -- the content-addressed
+budget)`` into a deterministic spec sequence, and every distinct spec
+executes through the shared sweep driver
+:func:`~repro.campaign.sweep.run_sweep` with the full persistence layer
+riding along -- the content-addressed
 :class:`~repro.campaign.cache.ResultCache` serves repeated specs, the
 :class:`~repro.campaign.checkpoint.CheckpointJournal` makes interrupted
 sessions resumable, and the artifact is canonical JSON, bit-identical
@@ -20,16 +21,16 @@ embedded for merging into a persistent ledger.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.campaign.sweep import SweepArtifact, SweepRecord, run_sweep
 from repro.scenarios.coverage import CoverageLedger, region_of
 from repro.scenarios.fuzzer import FuzzConfig, SpecFuzzer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.spec import ScenarioSpec
-    from repro.campaign.cache import CacheStats, ResultCache
+    from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 
 #: Bump when the fuzz artifact schema changes; readers refuse newer.
@@ -37,7 +38,7 @@ FUZZ_ARTIFACT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class FuzzCellResult:
+class FuzzCellResult(SweepRecord):
     """Scored outcome of one distinct fuzzed spec.
 
     Deliberately index-free: the same spec drawn at two walk indices is
@@ -72,15 +73,6 @@ class FuzzCellResult:
     #: modeled outcome of retention-pinning defenses on small
     #: geometries, recorded instead of aborting the walk.
     status: str = "ok"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the cell (field names preserved verbatim)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FuzzCellResult":
-        """Rebuild a cell from its :meth:`to_dict` form."""
-        return cls(**data)  # type: ignore[arg-type]
 
 
 def _fuzz_cell_key(spec: "ScenarioSpec") -> str:
@@ -142,8 +134,16 @@ def run_fuzz_cell(spec: "ScenarioSpec") -> FuzzCellResult:
 
 
 @dataclass
-class FuzzArtifact:
-    """A completed fuzz session: the walk, its cells and its coverage."""
+class FuzzArtifact(SweepArtifact):
+    """A completed fuzz session: the walk, its cells and its coverage.
+
+    Cells are keyed and sorted by spec hash; :meth:`diff` adds the walk
+    (``spec_hashes``) and coverage comparisons to the per-cell ones.
+    """
+
+    record_key = "spec_hash"
+    record_type = FuzzCellResult
+    latest_version = FUZZ_ARTIFACT_VERSION
 
     fuzz_seed: int
     budget: int
@@ -160,111 +160,21 @@ class FuzzArtifact:
     #: This session's coverage ledger (its ``to_dict`` form).
     coverage: Dict[str, object] = field(default_factory=dict)
     version: int = FUZZ_ARTIFACT_VERSION
-    #: Cache accounting for the run that built this artifact; in-memory
-    #: provenance only, excluded from serialization and comparison so
-    #: warm-cache runs stay bit-identical to cold ones.
-    cache_stats: Optional["CacheStats"] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Cells served from a resumed checkpoint journal (provenance only,
-    #: excluded from serialization and comparison like ``cache_stats``).
-    cells_resumed: int = field(default=0, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        """Sort cells by hash so serialization is execution-order independent."""
-        self.cells = sorted(self.cells, key=lambda cell: cell.spec_hash)
-
-    def cell(self, spec_hash: str) -> FuzzCellResult:
-        """The result for one spec hash (raises ``KeyError`` if absent)."""
-        for result in self.cells:
-            if result.spec_hash == spec_hash:
-                return result
-        raise KeyError(f"no cell with spec hash {spec_hash!r} in this artifact")
 
     @property
     def ledger(self) -> CoverageLedger:
         """This session's coverage as a live :class:`CoverageLedger`."""
         return CoverageLedger.from_dict(self.coverage)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view: version, walk parameters, cells, coverage."""
-        return {
-            "version": self.version,
-            "fuzz_seed": self.fuzz_seed,
-            "budget": self.budget,
-            "toward_uncovered": self.toward_uncovered,
-            "config": self.config,
-            "spec_hashes": list(self.spec_hashes),
-            "stats": dict(self.stats),
-            "cells": [result.to_dict() for result in self.cells],
-            "coverage": self.coverage,
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialization: stable key order, trailing newline."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FuzzArtifact":
-        """Rebuild an artifact, refusing versions newer than this reader."""
-        version = int(data.get("version", -1))  # type: ignore[arg-type]
-        if version > FUZZ_ARTIFACT_VERSION:
-            raise ValueError(
-                f"fuzz artifact version {version} is newer than supported "
-                f"version {FUZZ_ARTIFACT_VERSION}"
-            )
-        return cls(
-            fuzz_seed=int(data.get("fuzz_seed", 0)),  # type: ignore[arg-type]
-            budget=int(data.get("budget", 0)),  # type: ignore[arg-type]
-            toward_uncovered=bool(data.get("toward_uncovered", False)),
-            config=dict(data.get("config", {})),  # type: ignore[arg-type]
-            spec_hashes=list(data.get("spec_hashes", [])),  # type: ignore[arg-type]
-            stats=dict(data.get("stats", {})),  # type: ignore[arg-type]
-            cells=[
-                FuzzCellResult.from_dict(cell)  # type: ignore[arg-type]
-                for cell in data.get("cells", [])  # type: ignore[union-attr]
-            ],
-            coverage=dict(data.get("coverage", {})),  # type: ignore[arg-type]
-            version=version,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FuzzArtifact":
-        """Parse an artifact from its canonical JSON text."""
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        """Write the canonical JSON serialization to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "FuzzArtifact":
-        """Read an artifact previously written with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
-    def diff(self, baseline: "FuzzArtifact") -> List[str]:
+    def diff(self, baseline: "FuzzArtifact") -> List[str]:  # type: ignore[override]
         """Human-readable differences against ``baseline`` (empty if equal)."""
-        differences: List[str] = []
+        differences = []
         if self.spec_hashes != baseline.spec_hashes:
             differences.append(
                 f"spec_hashes diverge: {len(baseline.spec_hashes)} baseline vs "
                 f"{len(self.spec_hashes)} here"
             )
-        ours = {cell.spec_hash: cell for cell in self.cells}
-        theirs = {cell.spec_hash: cell for cell in baseline.cells}
-        for key in sorted(set(theirs) - set(ours)):
-            differences.append(f"missing cell: {key}")
-        for key in sorted(set(ours) - set(theirs)):
-            differences.append(f"extra cell: {key}")
-        for key in sorted(set(ours) & set(theirs)):
-            mine, other = ours[key].to_dict(), theirs[key].to_dict()
-            for fname in sorted(mine):
-                if mine[fname] != other[fname]:
-                    differences.append(
-                        f"{key}: {fname} {other[fname]!r} -> {mine[fname]!r}"
-                    )
+        differences += super().diff(baseline)
         if self.coverage != baseline.coverage:
             differences.append("coverage ledgers differ")
         return differences
@@ -290,17 +200,13 @@ def run_fuzz(
     backend is involved -- the walk depends only on ``(seed, config,
     budget)`` plus (under ``toward_uncovered``) the covered-region
     snapshot of ``ledger``, never on execution order.  Distinct specs
-    then execute through :func:`~repro.campaign.cache.map_with_cache`
-    exactly like campaign cells: cache hits are served, journalled
+    then execute through :func:`~repro.campaign.sweep.run_sweep` exactly
+    like campaign cells: cache hits are served, journalled
     cells survive crashes, and ``resume=True`` re-runs only what the
     journal is missing.  The returned artifact embeds this session's
     own coverage; the caller merges it into a persistent ledger
     (:meth:`CoverageLedger.merge`) -- ``ledger`` is read, not written.
     """
-    from repro.campaign.cache import map_with_cache
-    from repro.campaign.checkpoint import build_header, verify_header
-    from repro.campaign.runner import ExperimentRunner
-
     if budget < 0:
         raise ValueError(f"fuzz budget must be non-negative, got {budget}")
     fuzz_config = config if config is not None else FuzzConfig()
@@ -310,58 +216,33 @@ def run_fuzz(
         budget, covered=covered, toward_uncovered=toward_uncovered
     )
     spec_hashes = [spec.spec_hash() for spec in specs]
-    unique_specs: List["ScenarioSpec"] = []
-    seen = set()
-    for spec, spec_hash in zip(specs, spec_hashes):
-        if spec_hash not in seen:
-            seen.add(spec_hash)
-            unique_specs.append(spec)
-
-    runner = ExperimentRunner(backend=backend, jobs=jobs)
-    completed = None
-    if journal is not None:
-        header = build_header(
-            "fuzz",
-            FUZZ_ARTIFACT_VERSION,
-            seed,
-            {
-                "budget": budget,
-                "config": fuzz_config.to_dict(),
-                "toward_uncovered": toward_uncovered,
-                "covered_snapshot": sorted(covered),
-            },
-            fingerprint=cache.fingerprint if cache is not None else None,
-        )
-        if resume:
-            found, completed = journal.load()
-            verify_header(found, header)
-            journal.resume()
-        else:
-            journal.start(header)
-    elif resume:
-        raise ValueError("resume=True needs a checkpoint journal")
-    try:
-        cells = map_with_cache(
-            runner,
-            run_fuzz_cell,
-            unique_specs,
-            kind="fuzz-cell",
-            artifact_version=FUZZ_ARTIFACT_VERSION,
-            key_fn=_fuzz_cell_key,
-            hash_fn=lambda spec: spec.spec_hash(),
-            encode=lambda result: result.to_dict(),
-            decode=FuzzCellResult.from_dict,
-            cache=cache,
-            journal=journal,
-            completed=completed,
-            after_cell=after_cell,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
-
+    # One cell per distinct spec, in first-drawn order.
+    unique_specs = list(dict(zip(spec_hashes, specs)).values())
+    run = run_sweep(
+        "fuzz",
+        FUZZ_ARTIFACT_VERSION,
+        seed,
+        {
+            "budget": budget,
+            "config": fuzz_config.to_dict(),
+            "toward_uncovered": toward_uncovered,
+            "covered_snapshot": sorted(covered),
+        },
+        unique_specs,
+        run_fuzz_cell,
+        key_fn=_fuzz_cell_key,
+        hash_fn=_fuzz_cell_key,
+        encode=FuzzCellResult.to_dict,
+        decode=FuzzCellResult.from_dict,
+        backend=backend,
+        jobs=jobs,
+        cache=cache,
+        journal=journal,
+        resume=resume,
+        after_cell=after_cell,
+    )
     session_ledger = CoverageLedger()
-    for cell in cells:
+    for cell in run.results:
         session_ledger.record_hash(cell.region, cell.spec_hash)
     artifact = FuzzArtifact(
         fuzz_seed=seed,
@@ -370,12 +251,7 @@ def run_fuzz(
         config=fuzz_config.to_dict(),
         spec_hashes=spec_hashes,
         stats=fuzzer.stats.to_dict(),
-        cells=list(cells),
+        cells=run.results,
         coverage=session_ledger.to_dict(),
     )
-    artifact.cache_stats = cache.stats if cache is not None else None
-    if completed:
-        artifact.cells_resumed = sum(
-            1 for spec in unique_specs if _fuzz_cell_key(spec) in completed
-        )
-    return artifact
+    return artifact.with_provenance(run)

@@ -1,7 +1,7 @@
 """Fixture: pickle-unsafe pool submissions and hidden state (REPRO-C4xx)."""
 
-from repro.campaign.cache import map_with_cache
 from repro.campaign.runner import ExperimentRunner
+from repro.campaign.sweep import run_sweep
 
 results_cache = {}  # REPRO-C402: module-level mutable in a sim layer
 seen = set()  # REPRO-C402
@@ -20,7 +20,7 @@ def sweep_nested(specs: list) -> list:
     return runner.map(run_one, specs)  # REPRO-C401: locally defined function
 
 
-def sweep_cached(runner: object, cache: object, specs: list) -> list:
-    return map_with_cache(
-        runner, lambda spec: spec, specs, cache=cache  # REPRO-C401: lambda
+def sweep_cached(cache: object, specs: list) -> object:
+    return run_sweep(
+        "demo", 1, 0, {}, specs, lambda spec: spec, cache=cache  # REPRO-C401: lambda
     )

@@ -1,7 +1,7 @@
 """Fixture: importing a deprecated entry point outside its shim (REPRO-L203)."""
 
-from repro.campaign.roc import run_roc  # REPRO-L203 (+L201: upward edge)
+from repro.workloads.fleet import FleetRunner  # REPRO-L203 (+L201: upward edge)
 
 
 def use() -> object:
-    return run_roc
+    return FleetRunner

@@ -89,17 +89,15 @@ class TestFleetRunnerShim:
 
 
 class TestRunRocShim:
-    def test_campaign_run_roc_warns_once_and_delegates(self):
+    def test_campaign_run_roc_is_the_api_driver(self):
+        """The shim is gone: both names are the one ROC sweep driver."""
+        from repro.api import run_roc as api_run_roc
         from repro.campaign.roc import run_roc
 
+        assert run_roc is api_run_roc
         grid = CampaignGrid.evasion_tiny()
-        artifact, first = collect_deprecations(lambda: run_roc(grid, specs=[]))
-        assert artifact.campaign_seed == grid.seed and artifact.curves == []
-        _, second = collect_deprecations(lambda: run_roc(grid, specs=[]))
-        assert len(first) == 1 and second == []
-        message = str(first[0].message)
-        assert "repro.campaign.roc.run_roc" in message
-        assert "repro.api.run_roc" in message
+        artifact, deprecations = collect_deprecations(lambda: run_roc(grid, specs=[]))
+        assert deprecations == [] and artifact.campaign_seed == grid.seed
 
     def test_api_run_roc_never_warns(self):
         from repro.api import run_roc

@@ -18,8 +18,6 @@ import os
 
 import pytest
 
-from repro.ablation import AblationStudy
-from repro.api import ScenarioSpec, run_roc
 from repro.campaign import (
     ARTIFACT_VERSION,
     CampaignArtifact,
@@ -269,44 +267,6 @@ class TestFilteredRunsWithCache:
             cells=[full.cell("LocalSSD/classic/office-edit/tiny")],
         )
         assert filtered.diff(subset_baseline) == []
-
-
-class TestRocAndAblationRideAlong:
-    def test_roc_sweep_caches_and_reproduces(self, tmp_path):
-        grid = small_grid(defenses=["RSSD"])
-        cache_root = str(tmp_path / "cache")
-        cold = run_roc(grid, cache=ResultCache(cache_root))
-        warm_cache = ResultCache(cache_root)
-        warm = run_roc(grid, cache=warm_cache)
-        assert warm_cache.stats.to_dict() == {
-            "hits": 1,
-            "misses": 0,
-            "stale": 0,
-            "stores": 0,
-        }
-        assert warm.to_json() == cold.to_json()
-        assert warm.cache_stats is warm_cache.stats
-
-    def test_ablation_study_caches_and_reproduces(self, tmp_path):
-        study = AblationStudy(
-            base_spec=ScenarioSpec(
-                defense="RSSD",
-                attack="classic",
-                workload="office-edit",
-                device="tiny",
-                victim_files=4,
-                user_activity_hours=1.0,
-                seed=11,
-            ),
-            features=("local-detector",),
-        )
-        cache_root = str(tmp_path / "cache")
-        cold = study.run(cache=ResultCache(cache_root))
-        warm_cache = ResultCache(cache_root)
-        warm = study.run(cache=warm_cache)
-        assert warm_cache.stats.hits == len(cold.cells)
-        assert warm_cache.stats.misses == 0
-        assert warm.to_json() == cold.to_json()
 
 
 class TestStreamingArtifactWriter:

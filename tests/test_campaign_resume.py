@@ -215,50 +215,6 @@ class TestJournalRecovery:
             journal.append_cell("k", {"x": 1})
 
 
-class TestRocAndAblationCrashResume:
-    def test_roc_sweep_resumes_bit_identically(self, tmp_path):
-        from repro.api import run_roc
-
-        grid = small_grid(defenses=["RSSD"], attacks=["classic", "trimming-attack"])
-        golden = run_roc(grid)
-        path = str(tmp_path / "roc-journal.jsonl")
-        with pytest.raises(InjectedCrash):
-            run_roc(
-                grid,
-                journal=CheckpointJournal(path),
-                after_cell=CrashAfterNCells(1),
-            )
-        resumed = run_roc(grid, journal=CheckpointJournal(path), resume=True)
-        assert resumed.cells_resumed == 1
-        assert resumed.to_json() == golden.to_json()
-
-    def test_ablation_study_resumes_bit_identically(self, tmp_path):
-        from repro.ablation import AblationStudy
-        from repro.api import ScenarioSpec
-
-        study = AblationStudy(
-            base_spec=ScenarioSpec(
-                defense="RSSD",
-                attack="classic",
-                workload="office-edit",
-                device="tiny",
-                victim_files=4,
-                user_activity_hours=1.0,
-                seed=11,
-            ),
-            features=("local-detector",),
-        )
-        golden = study.run()
-        path = str(tmp_path / "ablation-journal.jsonl")
-        with pytest.raises(InjectedCrash):
-            study.run(
-                journal=CheckpointJournal(path), after_cell=CrashAfterNCells(1)
-            )
-        resumed = study.run(journal=CheckpointJournal(path), resume=True)
-        assert resumed.cells_resumed == 1
-        assert resumed.to_json() == golden.to_json()
-
-
 class TestCrashHook:
     def test_rejects_nonpositive_quotas_and_unknown_modes(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@
 
 These tests are the locally-runnable core of the CI ``docs`` job:
 
-* every public symbol in ``repro.campaign``, ``repro.nvmeoe`` and
-  ``repro.forensics`` must carry a docstring (the mkdocs API reference
-  is generated from them);
+* every public symbol in the documented packages (``repro.campaign``
+  -- the ``repro.campaign.sweep`` driver included -- ``repro.api``,
+  ``repro.nvmeoe``, ``repro.forensics``, ...) must carry a docstring
+  (the mkdocs API reference is generated from them);
 * every ``::: identifier`` mkdocstrings directive in ``docs/`` must
   resolve to a real importable object;
 * every relative link in ``docs/`` and every page in the ``mkdocs.yml``
@@ -93,6 +94,14 @@ class TestDocstringCoverage:
             "public symbols without docstrings (the API reference renders "
             "these pages):\n  " + "\n  ".join(sorted(set(missing)))
         )
+
+    def test_the_sweep_driver_is_gated(self):
+        gated = {
+            module_name
+            for package_name in DOCUMENTED_PACKAGES
+            for module_name, _ in iter_package_modules(package_name)
+        }
+        assert "repro.campaign.sweep" in gated
 
 
 def mkdocstrings_directives():

@@ -103,7 +103,7 @@ class TestLayeringRules:
         findings = run_fixture("layering")
         rules = rules_for(findings, "bad_deprecated")
         assert "REPRO-L203" in rules
-        assert "REPRO-L201" in rules  # core -> campaign is also upward
+        assert "REPRO-L201" in rules  # core -> workloads is also upward
 
 
 # -- serialization rules -----------------------------------------------------
@@ -124,8 +124,8 @@ class Inner:
     depth: int = 0
 
 
-@dataclass(frozen=True)
-class RootSpec:
+{prelude}@dataclass(frozen=True)
+class RootSpec{bases}:
     """Root of the serialized object graph."""
 
     name: str = "x"
@@ -152,11 +152,17 @@ version_const = "SPEC_VERSION"
 
 
 class TestSchemaFingerprint:
-    def make_tree(self, tmp_path: Path, version: int, extra: str = "") -> dict:
+    def make_tree(
+        self, tmp_path: Path, version: int, extra: str = "", prelude: str = "",
+        bases: str = "",
+    ) -> dict:
         spec = tmp_path / "src" / "repro" / "api" / "spec.py"
         spec.parent.mkdir(parents=True, exist_ok=True)
         spec.write_text(
-            SCHEMA_MODULE.format(version=version, extra=extra), encoding="utf-8"
+            SCHEMA_MODULE.format(
+                version=version, extra=extra, prelude=prelude, bases=bases
+            ),
+            encoding="utf-8",
         )
         layers = tmp_path / "layers.toml"
         layers.write_text(SCHEMA_LAYERS, encoding="utf-8")
@@ -198,6 +204,29 @@ class TestSchemaFingerprint:
         fields = payload["schemas"]["root_spec"]["classes"]["repro.api.spec.RootSpec"]
         assert "diagnostics" not in fields
         assert fields == ["inner", "name"]
+
+    def test_dataclass_bases_contribute_fields_and_reachability(self, tmp_path):
+        prelude = (
+            "@dataclass(frozen=True)\n"
+            "class Stats:\n"
+            "    hits: int = 0\n\n\n"
+            "@dataclass(frozen=True)\n"
+            "class Base:\n"
+            "    stats: Optional[Stats] = field(default=None, compare=False)\n\n\n"
+        )
+        tree = self.make_tree(tmp_path, version=1, prelude=prelude, bases="(Base)")
+        pin = tmp_path / "fingerprint.json"
+        write_fingerprint(tree["contexts"], tree["model"], pin)
+        payload = json.loads(pin.read_text(encoding="utf-8"))
+        classes = payload["schemas"]["root_spec"]["classes"]
+        assert sorted(classes) == [
+            "repro.api.spec.Inner", "repro.api.spec.RootSpec", "repro.api.spec.Stats",
+        ]
+        assert classes["repro.api.spec.RootSpec"] == ["inner", "name"]
+        grown = prelude.replace("    stats:", "    added: int = 0\n    stats:")
+        drifted = self.make_tree(tmp_path, version=1, prelude=grown, bases="(Base)")
+        findings = check_schemas(drifted["contexts"], drifted["model"], pin)
+        assert [f.rule for f in findings] == ["REPRO-S301"]
         # reachability followed the Inner annotation
         assert "repro.api.spec.Inner" in payload["schemas"]["root_spec"]["classes"]
 

@@ -1,11 +1,13 @@
-"""run_fuzz: backend bit-identity, caching, checkpoint/resume, artifact."""
+"""run_fuzz: backend bit-identity, guided walks, artifact.
+
+The cache and checkpoint/resume contract run_fuzz shares with every
+other sweep kind is pinned in ``tests/test_sweep.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign import CheckpointJournal, CrashAfterNCells, InjectedCrash
-from repro.campaign.cache import ResultCache
 from repro.scenarios import (
     FUZZ_ARTIFACT_VERSION,
     CoverageLedger,
@@ -86,40 +88,6 @@ class TestDeterminism:
         assert not cell.defended
         # And the outcome itself is deterministic.
         assert run_fuzz_cell(spec).to_dict() == cell.to_dict()
-
-
-class TestCache:
-    def test_warm_cache_reproduces_the_cold_artifact(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        cold = tiny_fuzz(cache=cache)
-        assert cold.cache_stats is not None
-        assert cold.cache_stats.misses == len(cold.cells)
-        warm = tiny_fuzz(cache=ResultCache(str(tmp_path / "cache")))
-        assert warm.cache_stats.hits == len(cold.cells)
-        assert warm.to_json() == cold.to_json()
-
-
-class TestResume:
-    def test_crash_then_resume_completes_the_walk(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with pytest.raises(InjectedCrash):
-            tiny_fuzz(
-                journal=CheckpointJournal(path),
-                after_cell=CrashAfterNCells(2),
-            )
-        resumed = tiny_fuzz(journal=CheckpointJournal(path), resume=True)
-        assert resumed.cells_resumed >= 2
-        assert resumed.to_json() == tiny_fuzz().to_json()
-
-    def test_resume_refuses_a_different_fuzz_identity(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        tiny_fuzz(journal=CheckpointJournal(path))
-        with pytest.raises(Exception, match="journal"):
-            tiny_fuzz(
-                seed=SEED + 1,
-                journal=CheckpointJournal(path),
-                resume=True,
-            )
 
 
 class TestGuidedRuns:
