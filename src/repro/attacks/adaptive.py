@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.attacks.base import AttackEnvironment, AttackOutcome, RansomwareAttack
 from repro.core.trim_handler import TrimRejectedError
 from repro.crypto.cipher import keystream_bytes
@@ -120,20 +122,12 @@ def shape_entropy(data: bytes, bits_per_symbol: int) -> bytes:
         raise ValueError("bits_per_symbol must be within [1, 8]")
     if bits_per_symbol == 8:
         return data
-    out = bytearray()
-    accumulator = 0
-    pending_bits = 0
-    mask = (1 << bits_per_symbol) - 1
-    for byte in data:
-        accumulator = (accumulator << 8) | byte
-        pending_bits += 8
-        while pending_bits >= bits_per_symbol:
-            pending_bits -= bits_per_symbol
-            out.append((accumulator >> pending_bits) & mask)
-            accumulator &= (1 << pending_bits) - 1
-    if pending_bits:
-        out.append((accumulator << (bits_per_symbol - pending_bits)) & mask)
-    return bytes(out)
+    # Split the big-endian bit stream into symbols, zero-padding the last
+    # one; packbits left-aligns each symbol in a byte.
+    symbols = -(-8 * len(data) // bits_per_symbol)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=symbols * bits_per_symbol)
+    packed = np.packbits(bits.reshape(symbols, bits_per_symbol), axis=1)
+    return (packed.ravel() >> (8 - bits_per_symbol)).tobytes()
 
 
 class AdaptiveAttack(RansomwareAttack):

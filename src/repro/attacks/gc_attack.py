@@ -10,10 +10,23 @@ counting on for recovery.
 
 from __future__ import annotations
 
+import random
+
 from repro.attacks.base import AttackEnvironment, AttackOutcome, RansomwareAttack
 from repro.attacks.classic import ClassicRansomware, DestructionMode
 from repro.host.filesystem import FileSystemError
 from repro.ssd.errors import SSDError
+
+
+def random_junk(rng: random.Random, size: int) -> bytes:
+    """``size`` bytes equal to ``bytes(rng.getrandbits(8) for _ in range(size))``.
+
+    ``getrandbits(8)`` is the top byte of one 32-bit Mersenne Twister
+    word, and ``getrandbits(32 * size)`` packs ``size`` such words least
+    significant first; every fourth byte of it is the same junk, and the
+    rng ends in the same state.
+    """
+    return rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4]
 
 
 class GCAttack(RansomwareAttack):
@@ -59,15 +72,13 @@ class GCAttack(RansomwareAttack):
 
     def _fill_capacity(self, env: AttackEnvironment) -> int:
         junk_written = 0
-        page_size = env.blockdev.page_size
+        junk_bytes = env.blockdev.page_size * self.junk_file_pages
         target_free = int(env.blockdev.capacity_pages * (1.0 - self.fill_fraction))
         with self._as_attacker(env):
             for index in range(self.max_junk_files):
                 if env.fs.free_pages_remaining() <= max(target_free, self.junk_file_pages):
                     break
-                junk = bytes(
-                    self.rng.getrandbits(8) for _ in range(page_size * self.junk_file_pages)
-                )
+                junk = random_junk(self.rng, junk_bytes)
                 try:
                     env.fs.create_file(f".cache_{index:06d}.bin", junk)
                 except (FileSystemError, SSDError):

@@ -11,23 +11,25 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator
 
+_BLOCK_BYTES = hashlib.sha256().digest_size
+
 
 def keystream_bytes(key: bytes, nonce: int, length: int) -> bytes:
-    """Generate ``length`` keystream bytes for (``key``, ``nonce``)."""
+    """Generate ``length`` keystream bytes for (``key``, ``nonce``).
+
+    ``nonce`` is packed into 16 bytes, so it must lie in ``[0, 2**128)``.
+    """
     if length < 0:
         raise ValueError("length must be non-negative")
     if not key:
         raise ValueError("key must not be empty")
-    blocks = []
-    counter = 0
-    produced = 0
-    while produced < length:
-        block = hashlib.sha256(
-            key + nonce.to_bytes(16, "big", signed=False) + counter.to_bytes(8, "big")
-        ).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
+    if not 0 <= nonce < 1 << 128:
+        raise ValueError("nonce must be within [0, 2**128)")
+    prefix = key + nonce.to_bytes(16, "big", signed=False)
+    blocks = [
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range(-(-length // _BLOCK_BYTES))
+    ]
     return b"".join(blocks)[:length]
 
 
@@ -49,7 +51,9 @@ class StreamCipher:
         if nonce < 0:
             raise ValueError("nonce must be non-negative")
         stream = keystream_bytes(self._key, nonce, len(plaintext))
-        return bytes(p ^ s for p, s in zip(plaintext, stream))
+        return (
+            int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        ).to_bytes(len(plaintext), "big")
 
     def decrypt(self, ciphertext: bytes, nonce: int) -> bytes:
         """Decrypt ``ciphertext`` (identical to :meth:`encrypt` for XOR)."""

@@ -59,6 +59,8 @@ class Compressor:
     def __init__(self, window_size: int = 4096, min_match: int = 4) -> None:
         if window_size < 16:
             raise ValueError("window_size must be at least 16 bytes")
+        if window_size > 0xFFFF:
+            raise ValueError("window_size must fit the 2-byte distance field (<= 65535)")
         if min_match < 3:
             raise ValueError("min_match must be at least 3 bytes")
         self.window_size = window_size
@@ -137,30 +139,57 @@ class Compressor:
         )
 
     def _find_match(self, data: bytes, position: int) -> tuple:
-        """Longest match for ``data[position:]`` inside the sliding window."""
+        """First longest match for ``data[position:]`` inside the sliding window.
+
+        Candidates start in ``[position - window_size, position - min_match]``
+        and are visited left to right.  Once a match of ``best_length``
+        bytes is known, only a candidate sharing ``best_length + 1`` bytes
+        can replace it, so ``find`` searches for that longer probe; its end
+        bound keeps the candidate range the same as for the shortest probe.
+        """
         best_distance = 0
         best_length = 0
-        window_start = max(0, position - self.window_size)
         max_length = min(len(data) - position, 0xFFFF)
         if max_length < self.min_match:
             return 0, 0
-        probe = data[position : position + self.min_match]
-        search_from = window_start
+        last_candidate = position - self.min_match
+        search_from = max(0, position - self.window_size)
+        want = self.min_match
         while True:
-            candidate = data.find(probe, search_from, position)
+            candidate = data.find(
+                data[position : position + want], search_from, last_candidate + want
+            )
             if candidate == -1:
                 break
-            length = self.min_match
-            while (
-                length < max_length
-                and data[candidate + length] == data[position + length]
-            ):
-                length += 1
-            if length > best_length:
-                best_length = length
-                best_distance = position - candidate
+            best_length = _common_prefix(data, candidate, position, want, max_length)
+            best_distance = position - candidate
+            if best_length == max_length:
+                break
+            want = best_length + 1
             search_from = candidate + 1
         return best_distance, best_length
+
+
+def _common_prefix(data: bytes, first: int, second: int, known: int, limit: int) -> int:
+    """Length of the common prefix of ``data[first:]`` and ``data[second:]``.
+
+    The caller knows the first ``known`` bytes agree and that
+    ``second + limit <= len(data)``; the result is capped at ``limit``.
+    Chunks are compared as big-endian integers: the highest set bit of
+    their XOR is the first byte that differs.
+    """
+    length = known
+    chunk = 64
+    while length < limit:
+        size = min(chunk, limit - length)
+        diff = int.from_bytes(
+            data[first + length : first + length + size], "big"
+        ) ^ int.from_bytes(data[second + length : second + length + size], "big")
+        if diff:
+            return length + size - 1 - (diff.bit_length() - 1) // 8
+        length += size
+        chunk <<= 1
+    return length
 
 
 class CompressionModel:

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from repro.host.blockdev import HostBlockDevice
 
 
@@ -181,21 +183,39 @@ class SimpleFS:
     def populate(
         self, count: int, file_size_bytes: int, prefix: str = "doc", seed: int = 11
     ) -> List[str]:
-        """Create ``count`` files of compressible pseudo-text content."""
+        """Create ``count`` files of compressible pseudo-text content.
+
+        Each file is the words a loop of ``rng.choice(words)`` on
+        ``random.Random(seed)`` would pick, each followed by a space, cut
+        to ``file_size_bytes``.  ``choice`` over 12 words keeps the top 4 bits of one 32-bit
+        Mersenne Twister word and redraws while they are 12 or more, so
+        the words are drawn in bulk and that rejection is replayed on
+        them.  The rng is local, so drawing past the last file is free.
+        """
         rng = random.Random(seed)
         words = [
-            b"storage", b"flash", b"report", b"quarter", b"meeting", b"budget",
-            b"photo", b"draft", b"model", b"results", b"backup", b"invoice",
+            word + b" "
+            for word in (
+                b"storage", b"flash", b"report", b"quarter", b"meeting", b"budget",
+                b"photo", b"draft", b"model", b"results", b"backup", b"invoice",
+            )
         ]
+        lengths = np.array([len(word) for word in words])
+        # Enough words to fill a file even if every one is the shortest.
+        per_file = -(-file_size_bytes // int(lengths.min()))
+        pending = np.empty(0, dtype=np.uint32)
         names = []
         for index in range(count):
-            chunks = []
-            size = 0
-            while size < file_size_bytes:
-                word = rng.choice(words) + b" "
-                chunks.append(word)
-                size += len(word)
-            data = b"".join(chunks)[:file_size_bytes]
+            while len(pending) < per_file:
+                draws = (per_file - len(pending)) * 4 // 3 + 16
+                top_bits = np.frombuffer(
+                    rng.getrandbits(32 * draws).to_bytes(4 * draws, "little"), dtype="<u4"
+                ) >> 28
+                pending = np.concatenate([pending, top_bits[top_bits < len(words)]])
+            starts = np.cumsum(lengths[pending]) - lengths[pending]
+            chosen = pending[: int(np.searchsorted(starts, file_size_bytes))]
+            pending = pending[len(chosen) :]
+            data = b"".join(map(words.__getitem__, chosen.tolist()))[:file_size_bytes]
             name = f"{prefix}_{index:05d}.txt"
             self.create_file(name, data)
             names.append(name)

@@ -37,16 +37,27 @@ from repro.ssd.kernel import NO_LPN, PAGE_FREE, PAGE_INVALID, PAGE_VALID, SimKer
 
 
 def shannon_entropy(data: bytes) -> float:
-    """Shannon entropy of ``data`` in bits per byte (0.0 for empty input)."""
+    """Shannon entropy of ``data`` in bits per byte (0.0 for empty input).
+
+    Summation order is part of the contract: the per-symbol terms are
+    accumulated as Python floats (``count / total`` and ``math.log2``)
+    in the order each byte value first occurs in ``data``, which is the
+    insertion order of a dict-counting loop.  Float addition is not
+    associative, so a sorted or vectorised sum would change the last
+    bits of the result and with them every artifact that records an
+    entropy.  Only the counting and the first-occurrence search leave
+    Python; ``tests/test_byte_kernels.py`` pins the result against the
+    dict loop.
+    """
     if not data:
         return 0.0
-    counts: Dict[int, int] = {}
-    for byte in data:
-        counts[byte] = counts.get(byte, 0) + 1
+    histogram = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    present = np.flatnonzero(histogram).tolist()
+    counts = histogram.tolist()
     total = len(data)
     entropy = 0.0
-    for count in counts.values():
-        probability = count / total
+    for value in sorted(present, key=data.find):
+        probability = counts[value] / total
         entropy -= probability * math.log2(probability)
     return entropy
 
