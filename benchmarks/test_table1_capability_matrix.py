@@ -8,12 +8,12 @@ can still produce.
 
 from repro.analysis.experiments import run_capability_matrix
 from repro.bench import scaled
-from repro.defenses.matrix import CapabilityMatrix
+from repro.defenses.matrix import format_capability_table
 
 
 def test_table1_capability_matrix(once):
     rows = once(run_capability_matrix, victim_files=scaled(24, 12))
-    table = CapabilityMatrix.format_table(rows)
+    table = format_capability_table(rows)
     print("\n[Table 1] Defense capability matrix (measured)\n" + table)
 
     by_name = {row.defense: row for row in rows}

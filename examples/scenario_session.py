@@ -37,7 +37,7 @@ def main() -> None:
         user_activity_hours=6.0,
         seed=71,
     )
-    print("scenario :", spec.scenario_key)
+    print("scenario :", spec.cell_key)
     print("spec hash:", spec.spec_hash())
 
     # The JSON form is self-contained (seeds resolved) and rebuilds

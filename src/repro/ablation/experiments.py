@@ -8,17 +8,13 @@ build devices and environments ad hoc; here each variant is an ordinary
 :class:`~repro.api.spec.ScenarioSpec` run through a
 :class:`~repro.api.session.Session`, with component toggles expressed
 through the spec's ``ablation`` field wherever the feature registry
-covers them.  The legacy entry points in
-:mod:`repro.analysis.experiments` remain as warn-once shims over these.
+covers them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.ssd.geometry import SSDGeometry
+from typing import List, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +36,6 @@ class OffloadRow:
 
 def run_offload_ablation(
     volumes: Optional[List[str]] = None,
-    geometry: Optional["SSDGeometry"] = None,
     duration_s: float = 0.1,
     time_compression: float = 30_000.0,
     seed: int = 17,
@@ -67,10 +62,7 @@ def run_offload_ablation(
             recent_edit_fraction=0.0,
             seed=seed,
         )
-        session = (
-            Session(spec) if geometry is None else Session(spec, geometry=geometry)
-        )
-        result = session.run()
+        result = Session(spec).run()
         rssd = result.defense.rssd  # type: ignore[union-attr]
         rssd.drain_offload_queue()
         stats = rssd.offload.stats
@@ -103,7 +95,6 @@ class TrimAblationRow:
 
 
 def run_trim_ablation(
-    geometry: Optional["SSDGeometry"] = None,
     victim_files: int = 16,
 ) -> List[TrimAblationRow]:
     """Compare enhanced trim against retain-nothing and trim-disabled variants.
@@ -133,9 +124,7 @@ def run_trim_ablation(
     )
     for label, ablation, forced_mode in variants:
         spec = replace(base, ablation=ablation)
-        session = (
-            Session(spec) if geometry is None else Session(spec, geometry=geometry)
-        )
+        session = Session(spec)
         session.provision()
         rssd = session.defense.rssd  # type: ignore[union-attr]
         if forced_mode is not None:
@@ -168,7 +157,6 @@ class DetectionRow:
 
 def run_detection_ablation(
     attack_names: Optional[List[str]] = None,
-    geometry: Optional["SSDGeometry"] = None,
 ) -> List[DetectionRow]:
     """Run each attack against RSSD and compare the two detectors."""
     from repro.api import ScenarioSpec, Session
@@ -190,9 +178,7 @@ def run_detection_ablation(
             user_activity_hours=0.0,
             seed=23,
         )
-        session = (
-            Session(spec) if geometry is None else Session(spec, geometry=geometry)
-        )
+        session = Session(spec)
         result = session.run()
         reports = {
             report.detector: report

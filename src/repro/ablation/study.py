@@ -6,8 +6,8 @@ a set of toggleable features, and an attack axis, and runs every
 :func:`~repro.campaign.sweep.run_sweep`.  Each cell is an
 ordinary spec-and-session run -- the ablation rides inside the spec's
 ``ablation`` field -- so the per-cell rng streams derive from
-``(seed, scenario_key, purpose)`` through SHA-256 exactly like campaign
-cells.  ``scenario_key`` deliberately excludes the ablation, so every
+``(seed, cell_key, purpose)`` through SHA-256 exactly like campaign
+cells.  The spec's ``cell_key`` excludes the ablation, so every
 config of a scenario sees bit-identical workload and attack streams and
 result deltas are attributable purely to the toggled component.
 
@@ -21,7 +21,6 @@ sequential, thread and process backends, pinned by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import methodcaller
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.ablation.config import AblationConfig
@@ -41,7 +40,7 @@ ABLATION_ARTIFACT_VERSION = 1
 class AblationCellResult(SweepRecord):
     """Scored outcome of one (attack, ablation-config) cell."""
 
-    #: ``scenario_key + "/" + config label`` -- unique within a study.
+    #: the spec's ``cell_key + "/" + config label`` -- unique within a study.
     cell_key: str
     #: The :attr:`AblationConfig.label` of the cell's config.
     config: str
@@ -99,7 +98,7 @@ def _ablation_cell_key(spec: "ScenarioSpec") -> str:
     scenario key, so the label disambiguates the variants).
     """
     config = AblationConfig(disabled=spec.ablation)
-    return f"{spec.scenario_key}/{config.label}"
+    return f"{spec.cell_key}/{config.label}"
 
 
 def run_ablation_cell(spec: "ScenarioSpec") -> AblationCellResult:
@@ -153,7 +152,7 @@ class AblationStudy:
     :meth:`AblationConfig.sweep`); ``attacks`` is the attack axis (each
     config runs once per attack).  The base spec's own ``ablation`` and
     explicit per-stream seeds are cleared so every cell derives its rng
-    streams from ``(seed, scenario_key)`` uniformly.
+    streams from ``(seed, cell_key)`` uniformly.
     """
 
     #: The scenario every cell is a variant of.
@@ -266,7 +265,6 @@ class AblationStudy:
             self.specs(),
             run_ablation_cell,
             key_fn=_ablation_cell_key,
-            hash_fn=methodcaller("spec_hash"),
             encode=AblationCellResult.to_dict,
             decode=AblationCellResult.from_dict,
             backend=backend,

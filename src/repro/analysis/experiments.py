@@ -8,7 +8,7 @@ directly from a Python shell or an example script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.retention import (
@@ -25,7 +25,7 @@ from repro.attacks.timing_attack import TimingAttack
 from repro.attacks.trimming_attack import TrimmingAttack
 from repro.core.config import RSSDConfig
 from repro.core.rssd import RSSD
-from repro.defenses.matrix import CapabilityMatrix, MatrixRow, default_defense_factories
+from repro.defenses.matrix import CapabilityCell, MatrixRow
 from repro.ssd.device import SSD
 from repro.ssd.geometry import SSDGeometry
 from repro.workloads.fio import FioJob, standard_jobs
@@ -37,20 +37,59 @@ from repro.workloads.synthetic import ZipfianWorkload, profile_workload
 # T1: capability matrix (Table 1)
 # ---------------------------------------------------------------------------
 
+#: The historical Table-1 seeds: every cell provisions its victim files
+#: from ``env_seed``, runs the office-edit workload from
+#: ``workload_seed`` and builds its attack from ``attack_seed``, whatever
+#: the (defense, attack) pair.
+TABLE1_SEEDS = {"env_seed": 23, "workload_seed": 24, "attack_seed": 97}
+
+
 def run_capability_matrix(
-    geometry: Optional[SSDGeometry] = None,
     defense_names: Optional[List[str]] = None,
     victim_files: int = 24,
 ) -> List[MatrixRow]:
-    """Run the Table-1 capability matrix for the requested defenses."""
-    matrix = CapabilityMatrix(geometry=geometry, victim_files=victim_files)
-    factories = default_defense_factories()
-    if defense_names is not None:
-        unknown = set(defense_names) - set(factories)
-        if unknown:
-            raise KeyError(f"unknown defenses requested: {sorted(unknown)}")
-        factories = {name: factories[name] for name in defense_names}
-    return matrix.run(defense_factories=factories)
+    """Run the Table-1 capability matrix for the requested defenses.
+
+    Each (defense, attack) cell is one ``office-edit`` scenario on the
+    ``tiny`` device with the pinned :data:`TABLE1_SEEDS`, run through a
+    :class:`~repro.api.session.Session`.  Unknown or repeated defense
+    names raise before anything runs.
+    """
+    from repro.api import ScenarioSpec, Session
+    from repro.campaign import registries
+
+    names = list(registries.DEFENSES) if defense_names is None else list(defense_names)
+    registries.validate_names(names, [], [], [])
+    rows: List[MatrixRow] = []
+    for defense in names:
+        cells: Dict[str, CapabilityCell] = {}
+        for attack in registries.DEFAULT_ATTACKS:
+            spec = ScenarioSpec(
+                defense=defense, attack=attack, victim_files=victim_files, **TABLE1_SEEDS
+            )
+            session = Session(spec)
+            result = session.run()
+            outcome = result.attack_outcome
+            cells[attack] = CapabilityCell(
+                attack=outcome.attack_name,
+                recovery_fraction=result.recovery_fraction,
+                defended=result.defended,
+                detected=result.detected,
+                compromised=result.compromised,
+                victim_pages=len(outcome.victim_lbas),
+                pages_recovered=result.pages_recovered,
+                attack_duration_us=outcome.duration_us,
+            )
+        assert session.defense is not None
+        rows.append(
+            MatrixRow(
+                defense=defense,
+                hardware_isolated=session.defense.hardware_isolated,
+                supports_forensics=session.defense.supports_forensics,
+                cells=cells,
+            )
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -382,86 +421,3 @@ def run_forensics_experiment(
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# A1: offload path ablation (compression + bandwidth demand)
-# ---------------------------------------------------------------------------
-
-from repro.ablation.experiments import (  # noqa: E402 - re-exported row types
-    DetectionRow,
-    OffloadRow,
-    TrimAblationRow,
-)
-
-
-def run_offload_ablation(
-    volumes: Optional[List[str]] = None,
-    geometry: Optional[SSDGeometry] = None,
-    duration_s: float = 0.1,
-    time_compression: float = 30_000.0,
-    seed: int = 17,
-) -> List[OffloadRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_offload_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now runs each volume through the
-    :mod:`repro.api` session lifecycle.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_offload_ablation",
-        "repro.ablation.experiments.run_offload_ablation",
-    )
-    from repro.ablation.experiments import run_offload_ablation as ported
-
-    return ported(
-        volumes=volumes,
-        geometry=geometry,
-        duration_s=duration_s,
-        time_compression=time_compression,
-        seed=seed,
-    )
-
-
-def run_trim_ablation(
-    geometry: Optional[SSDGeometry] = None,
-    victim_files: int = 16,
-) -> List[TrimAblationRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_trim_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now expresses the trim variants through
-    the spec's ``ablation`` field.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_trim_ablation",
-        "repro.ablation.experiments.run_trim_ablation",
-    )
-    from repro.ablation.experiments import run_trim_ablation as ported
-
-    return ported(geometry=geometry, victim_files=victim_files)
-
-
-def run_detection_ablation(
-    attack_names: Optional[List[str]] = None,
-    geometry: Optional[SSDGeometry] = None,
-) -> List[DetectionRow]:
-    """Deprecated alias of :func:`repro.ablation.experiments.run_detection_ablation`.
-
-    Kept as a warn-once shim so pre-ablation-framework callers keep
-    working; the implementation now runs each attack through the
-    :mod:`repro.api` session lifecycle.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "repro.analysis.experiments.run_detection_ablation",
-        "repro.ablation.experiments.run_detection_ablation",
-    )
-    from repro.ablation.experiments import run_detection_ablation as ported
-
-    return ported(attack_names=attack_names, geometry=geometry)

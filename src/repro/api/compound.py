@@ -145,7 +145,7 @@ class CompoundScenarioSpec:
     def compound_key(self) -> str:
         """Stable identifier: the foreground key plus the noise shape."""
         return (
-            f"{self.foreground.scenario_key}"
+            f"{self.foreground.cell_key}"
             f"+bg{len(self.background)}@{self.attack_offset:g}"
         )
 

@@ -1,7 +1,6 @@
 """Session: the lifecycle object that executes one scenario.
 
-A :class:`Session` takes a :class:`~repro.api.spec.ScenarioSpec` (or
-explicit factory overrides, for callers outside the registries) through
+A :class:`Session` takes a :class:`~repro.api.spec.ScenarioSpec` through
 the canonical lifecycle::
 
     session = Session(spec)
@@ -15,10 +14,9 @@ views -- :meth:`Session.metrics`, :meth:`Session.detection`,
 :meth:`Session.forensics` -- are built lazily from the live scenario
 objects and cached.
 
-The session owns the :class:`~repro.sim.SimClock` and derives every
-random stream from the spec the same SHA-256 way the campaign engine
-does, so a campaign cell executed through a session is bit-identical to
-the historical engine path (the golden-run suite pins this).  All
+The session owns the :class:`~repro.sim.SimClock` and takes every seed
+from the spec, so campaign, ROC, ablation, fuzz and Table-1 cells all
+run this one path (the golden-run suite pins it).  All
 observation flows through the session's typed
 :class:`~repro.api.events.EventBus`: the device's host-op stream, GC
 passes, NVMe-oE offload capsules and retention evictions are published
@@ -29,7 +27,7 @@ is just another subscriber.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -50,7 +48,6 @@ from repro.defenses.matrix import DEFENDED_THRESHOLD
 from repro.forensics import TraceRecorder, reference_image
 from repro.sim import SimClock
 from repro.ssd.device import HostOp
-from repro.ssd.geometry import SSDGeometry
 
 
 @dataclass
@@ -97,21 +94,21 @@ class SessionResult:
     def to_cell_result(self) -> "CellResult":
         """Reduce to a picklable campaign :class:`~repro.campaign.results.CellResult`.
 
-        Requires a session built from a :class:`ScenarioSpec` (the cell
-        identity -- names and seeds -- comes from it).
+        Requires a result whose :class:`ScenarioSpec` reproduces the run
+        (the cell identity -- names and seeds -- comes from it).
         """
         from repro.campaign.results import CellResult
 
         if self.spec is None:
             raise ValueError(
-                "this result was produced from explicit factory overrides, "
-                "not a (faithful) ScenarioSpec; cell results need the spec's "
-                "names and seeds to reproduce the run"
+                "this result was produced with a workload override, not a "
+                "(faithful) ScenarioSpec; cell results need the spec's names "
+                "and seeds to reproduce the run"
             )
         outcome = self.attack_outcome
         spec = self.spec
         return CellResult(
-            cell_key=spec.scenario_key,
+            cell_key=spec.cell_key,
             defense=spec.defense,
             attack=spec.attack,
             workload=spec.workload,
@@ -269,13 +266,12 @@ class _BusForwarder:
 class Session:
     """One scenario's lifecycle: ``provision() -> run() -> result``.
 
-    Built either from a validated :class:`~repro.api.spec.ScenarioSpec`
-    (names resolved through the campaign registries) or from explicit
-    factory overrides for consumers outside the registries (the
-    capability matrix's historical fixed-seed path uses overrides).
-    Overrides win over the spec field by field, so a spec can be
-    partially overridden -- e.g. the same named scenario on a custom
-    geometry.
+    Built from a validated :class:`~repro.api.spec.ScenarioSpec`; every
+    name resolves through the campaign registries and every seed comes
+    from the spec.  ``workload`` replaces the spec's pre-attack
+    workload function (the compound-scenario runner's composite
+    workload); a result produced with it carries no ``spec``, because
+    the spec alone no longer reproduces the run.
 
     ``observers`` is the legacy passive-observer hook; each observer is
     subscribed to the session's bus and fed the raw host-op stream,
@@ -284,83 +280,18 @@ class Session:
 
     def __init__(
         self,
-        spec: Optional[ScenarioSpec] = None,
+        spec: ScenarioSpec,
         *,
         bus: Optional[EventBus] = None,
-        defense_factory: Optional[Callable[[SSDGeometry, SimClock], Defense]] = None,
-        attack_factory: Optional[Callable[[], object]] = None,
+        observers: Sequence[object] = (),
         workload: Optional[
             Callable[[AttackEnvironment, random.Random, float, float], None]
         ] = None,
-        geometry: Optional[SSDGeometry] = None,
-        victim_files: Optional[int] = None,
-        file_size_bytes: Optional[int] = None,
-        user_activity_hours: Optional[float] = None,
-        recent_edit_fraction: Optional[float] = None,
-        env_seed: Optional[int] = None,
-        workload_rng: Optional[random.Random] = None,
-        observers: Sequence[object] = (),
     ) -> None:
-        if spec is None:
-            required = {
-                "defense_factory": defense_factory,
-                "attack_factory": attack_factory,
-                "workload": workload,
-                "geometry": geometry,
-                "victim_files": victim_files,
-                "file_size_bytes": file_size_bytes,
-                "user_activity_hours": user_activity_hours,
-                "recent_edit_fraction": recent_edit_fraction,
-                "env_seed": env_seed,
-                "workload_rng": workload_rng,
-            }
-            missing = [name for name, value in required.items() if value is None]
-            if missing:
-                raise ValueError(
-                    "a Session needs either a ScenarioSpec or explicit "
-                    f"overrides; missing: {missing}"
-                )
-        self._spec_faithful = spec is not None
-        if spec is not None:
-            # Fold spec-representable overrides back into the spec, so the
-            # result's provenance (to_cell_result / to_dict) records what
-            # actually ran, not what the original spec said.
-            representable = {
-                name: value
-                for name, value in (
-                    ("victim_files", victim_files),
-                    ("file_size_bytes", file_size_bytes),
-                    ("user_activity_hours", user_activity_hours),
-                    ("recent_edit_fraction", recent_edit_fraction),
-                    ("env_seed", env_seed),
-                )
-                if value is not None
-            }
-            if representable:
-                spec = replace(spec, **representable)
-            # Factory/geometry/rng overrides cannot be expressed as spec
-            # fields; a result produced with them must not claim the
-            # spec reproduces it.
-            if any(
-                override is not None
-                for override in (
-                    defense_factory, attack_factory, workload, geometry, workload_rng
-                )
-            ):
-                self._spec_faithful = False
         self.spec = spec
         self.bus = bus if bus is not None else EventBus()
-        self._defense_factory = defense_factory
-        self._attack_factory = attack_factory
-        self._workload = workload
-        self._geometry = geometry
-        self._victim_files = victim_files
-        self._file_size_bytes = file_size_bytes
-        self._user_activity_hours = user_activity_hours
-        self._recent_edit_fraction = recent_edit_fraction
-        self._env_seed = env_seed
-        self._workload_rng = workload_rng
         self._observers = tuple(observers)
+        self._workload = workload
 
         self.clock: Optional[SimClock] = None
         self.defense: Optional[Defense] = None
@@ -395,26 +326,20 @@ class Session:
 
         if self.provisioned:
             raise RuntimeError("session already provisioned")
+        spec = self.spec
         self.clock = SimClock()
-        geometry = self._geometry
-        if geometry is None:
-            assert self.spec is not None
-            geometry = registries.DEVICE_CONFIGS[self.spec.device]()
-        defense_factory = self._defense_factory
-        if defense_factory is None:
-            assert self.spec is not None
-            defense_factory = registries.DEFENSES[self.spec.defense]
-        self.defense = defense_factory(geometry, self.clock)
-        if self.spec is not None and self.spec.ablation:
+        geometry = registries.DEVICE_CONFIGS[spec.device]()
+        self.defense = registries.DEFENSES[spec.defense](geometry, self.clock)
+        if spec.ablation:
             from repro.ablation.registry import apply_ablation
 
-            apply_ablation(self.defense, self.spec.ablation)
+            apply_ablation(self.defense, spec.ablation)
         self._wire_bus(self.defense)
         self.env = provision_environment(
             self.defense.device,
-            victim_files=self._resolved("victim_files", self._victim_files),
-            file_size_bytes=self._resolved("file_size_bytes", self._file_size_bytes),
-            seed=self._resolved_env_seed(),
+            victim_files=spec.victim_files,
+            file_size_bytes=spec.file_size_bytes,
+            seed=spec.resolved_env_seed,
         )
         return self
 
@@ -438,26 +363,15 @@ class Session:
 
         workload = self._workload
         if workload is None:
-            assert spec is not None
             workload = registries.WORKLOADS[spec.workload]
-        workload_rng = self._workload_rng
-        if workload_rng is None:
-            assert spec is not None
-            workload_rng = random.Random(spec.resolved_workload_seed)
         workload(
             env,
-            workload_rng,
-            self._resolved("user_activity_hours", self._user_activity_hours),
-            self._resolved("recent_edit_fraction", self._recent_edit_fraction),
+            random.Random(spec.resolved_workload_seed),
+            spec.user_activity_hours,
+            spec.recent_edit_fraction,
         )
 
-        attack_factory = self._attack_factory
-        if attack_factory is None:
-            assert spec is not None
-            attack_factory = lambda: registries.ATTACKS[spec.attack](
-                spec.resolved_attack_seed
-            )
-        attack = attack_factory()
+        attack = registries.ATTACKS[spec.attack](spec.resolved_attack_seed)
         compromised = False
         if getattr(attack, "aggressive", False):
             compromised = defense.compromise()
@@ -487,7 +401,7 @@ class Session:
             **forensics,
             defense=defense,
             recorder=self._recorder,
-            spec=spec if self._spec_faithful else None,
+            spec=spec if self._workload is None else None,
             attack_outcome=outcome,
             recovery_fraction=fraction,
             pages_recovered=recovered,
@@ -566,19 +480,6 @@ class Session:
         return self._forensics_cache
 
     # -- internals ---------------------------------------------------------
-
-    def _resolved(self, name: str, override: Optional[object]) -> object:
-        """An override if given, else the spec's field of the same name."""
-        if override is not None:
-            return override
-        assert self.spec is not None
-        return getattr(self.spec, name)
-
-    def _resolved_env_seed(self) -> int:
-        if self._env_seed is not None:
-            return self._env_seed
-        assert self.spec is not None
-        return self.spec.resolved_env_seed
 
     def _wire_bus(self, defense: Defense) -> None:
         """Attach every tap the scenario's device exposes to the bus.

@@ -16,9 +16,9 @@ names and numbers only, so a spec can be
   -- and executed anywhere with identical results.
 
 Seeds follow the campaign engine's derivation exactly: every stream is
-seeded from ``(seed, scenario_key, purpose)`` through SHA-256
-(:func:`repro.campaign.seeding.derive_seed`), so a ``ScenarioSpec``
-built from a campaign cell reproduces that cell bit-for-bit.
+seeded from ``(seed, cell_key, purpose)`` through SHA-256
+(:func:`repro.campaign.seeding.derive_seed`), so a campaign grid's
+cells are simply specs carrying the grid's seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign import registries
-from repro.campaign.grid import CellSpec
 from repro.campaign.seeding import derive_seed
 
 #: Bump when the spec schema changes; readers refuse newer versions.
@@ -106,8 +105,8 @@ class ScenarioSpec:
     names raise :class:`KeyError` at construction with the full known
     list.  ``env_seed`` / ``workload_seed`` / ``attack_seed`` default to
     ``None``, meaning *derive from* ``seed`` *the SHA-256 way*; explicit
-    values override the derivation (campaign cells carry their
-    grid-derived seeds explicitly).
+    values override the derivation (Table 1 pins its historical seeds
+    this way).
     """
 
     defense: str = "RSSD"
@@ -126,7 +125,7 @@ class ScenarioSpec:
     #: come from :data:`repro.ablation.registry.FEATURES`; the empty
     #: tuple (default) is the full design and keeps the spec on schema
     #: version 1 so pre-ablation hashes are unchanged.  Deliberately
-    #: excluded from :attr:`scenario_key`, so every ablation variant of
+    #: excluded from :attr:`cell_key`, so every ablation variant of
     #: a scenario shares the same derived rng streams and deltas are
     #: attributable purely to the toggled component.
     ablation: Tuple[str, ...] = field(default_factory=tuple)
@@ -158,11 +157,11 @@ class ScenarioSpec:
     # -- identity ----------------------------------------------------------
 
     @property
-    def scenario_key(self) -> str:
+    def cell_key(self) -> str:
         """Stable identifier: defense/attack/workload/device.
 
-        Identical to the campaign engine's cell key, so specs and cells
-        name the same scenario the same way.
+        The key every sweep journals a cell under and every result
+        record (``CellResult``, ``RocCurve``, ...) stores as ``cell_key``.
         """
         return f"{self.defense}/{self.attack}/{self.workload}/{self.device}"
 
@@ -173,21 +172,21 @@ class ScenarioSpec:
         """The environment seed: explicit override or SHA-256 derivation."""
         if self.env_seed is not None:
             return self.env_seed
-        return derive_seed(self.seed, self.scenario_key, "env")
+        return derive_seed(self.seed, self.cell_key, "env")
 
     @property
     def resolved_workload_seed(self) -> int:
         """The workload-rng seed: explicit override or SHA-256 derivation."""
         if self.workload_seed is not None:
             return self.workload_seed
-        return derive_seed(self.seed, self.scenario_key, "workload")
+        return derive_seed(self.seed, self.cell_key, "workload")
 
     @property
     def resolved_attack_seed(self) -> int:
         """The attack-rng seed: explicit override or SHA-256 derivation."""
         if self.attack_seed is not None:
             return self.attack_seed
-        return derive_seed(self.seed, self.scenario_key, "attack")
+        return derive_seed(self.seed, self.cell_key, "attack")
 
     def resolve_seeds(self) -> "ScenarioSpec":
         """A copy with every per-stream seed materialized explicitly.
@@ -198,56 +197,6 @@ class ScenarioSpec:
         """
         return replace(
             self,
-            env_seed=self.resolved_env_seed,
-            workload_seed=self.resolved_workload_seed,
-            attack_seed=self.resolved_attack_seed,
-        )
-
-    # -- campaign interop --------------------------------------------------
-
-    @classmethod
-    def from_cell(cls, cell: CellSpec, campaign_seed: int = 0) -> "ScenarioSpec":
-        """Adopt a campaign cell spec, keeping its grid-derived seeds.
-
-        The cell's materialized seeds become explicit overrides, so the
-        resulting spec executes bit-identically to the cell regardless
-        of ``campaign_seed`` (kept only as provenance).
-        """
-        return cls(
-            defense=cell.defense,
-            attack=cell.attack,
-            workload=cell.workload,
-            device=cell.device_config,
-            victim_files=cell.victim_files,
-            file_size_bytes=cell.file_size_bytes,
-            user_activity_hours=cell.user_activity_hours,
-            recent_edit_fraction=cell.recent_edit_fraction,
-            seed=campaign_seed,
-            env_seed=cell.env_seed,
-            workload_seed=cell.workload_seed,
-            attack_seed=cell.attack_seed,
-        )
-
-    def to_cell(self) -> CellSpec:
-        """The campaign-engine view of this spec (seeds resolved).
-
-        Campaign cells are always the full design, so a spec with a
-        non-empty ``ablation`` set has no cell form and raises.
-        """
-        if self.ablation:
-            raise ValueError(
-                "campaign cells cannot carry an ablation; run this spec "
-                "through repro.api.Session or an AblationStudy instead"
-            )
-        return CellSpec(
-            defense=self.defense,
-            attack=self.attack,
-            workload=self.workload,
-            device_config=self.device,
-            victim_files=self.victim_files,
-            file_size_bytes=self.file_size_bytes,
-            user_activity_hours=self.user_activity_hours,
-            recent_edit_fraction=self.recent_edit_fraction,
             env_seed=self.resolved_env_seed,
             workload_seed=self.resolved_workload_seed,
             attack_seed=self.resolved_attack_seed,

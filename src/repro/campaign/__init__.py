@@ -3,14 +3,16 @@
 A *campaign* is an experiment grid -- defenses x attacks x workload
 generators x device configs -- executed cell by cell through a shared
 :class:`~repro.campaign.runner.ExperimentRunner` (sequential, thread or
-process backend).  Every cell is seeded deterministically from
-``(campaign_seed, cell_key)``, so the same grid and seed produce the
-same :class:`~repro.campaign.results.CellResult` records regardless of
-backend or execution order, and the whole run serializes to a versioned
-JSON artifact that the golden-run regression suite pins bit-for-bit.
+process backend).  Every cell is a :class:`~repro.api.spec.ScenarioSpec`
+seeded deterministically from ``(campaign_seed, cell_key)`` and run
+through a :class:`~repro.api.session.Session`, so the same grid and
+seed produce the same :class:`~repro.campaign.results.CellResult`
+records regardless of backend or execution order, and the whole run
+serializes to a versioned JSON artifact that the golden-run regression
+suite pins bit-for-bit.
 
-The capability matrix (``repro.defenses.matrix``) and the fleet runner
-(``repro.workloads.fleet``) are thin facades over this package.
+The fleet runner (``repro.workloads.fleet``) is a thin facade over
+this package.
 
 Every sweep kind (campaign, ROC, ablation, fuzz) runs through one
 driver, :func:`~repro.campaign.sweep.run_sweep`, and serializes through
@@ -31,7 +33,7 @@ from repro.campaign.checkpoint import (
     InjectedCrash,
 )
 from repro.campaign.engine import run_campaign, run_cell
-from repro.campaign.grid import CampaignGrid, CellSpec
+from repro.campaign.grid import CampaignGrid
 from repro.campaign.results import (
     ARTIFACT_VERSION,
     CampaignArtifact,
@@ -56,7 +58,6 @@ __all__ = [
     "CampaignArtifact",
     "CampaignGrid",
     "CellResult",
-    "CellSpec",
     "CheckpointError",
     "CheckpointJournal",
     "CrashAfterNCells",

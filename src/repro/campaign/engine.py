@@ -1,10 +1,7 @@
-"""Campaign execution: thin cell-level wrappers over the scenario facade.
+"""Campaign execution: one cell is one :class:`~repro.api.session.Session`.
 
-Scenario execution lives in :mod:`repro.api.session`; this module maps
-campaign cells onto it.  ``execute_scenario`` runs one scenario from
-live factories (the capability matrix's historical fixed-seed path),
-``execute_cell_scenario`` turns a picklable :class:`CellSpec` into a
-``ScenarioSpec`` + :class:`~repro.api.session.Session`, ``run_cell``
+Scenario execution lives in :mod:`repro.api.session`; ``run_cell``
+runs one grid cell (a :class:`~repro.api.spec.ScenarioSpec`) and
 reduces the outcome to a :class:`~repro.campaign.results.CellResult`,
 and ``run_campaign`` maps cells through
 :func:`~repro.campaign.sweep.run_sweep`.
@@ -16,117 +13,25 @@ campaign package must not import it back while initializing.
 
 from __future__ import annotations
 
-import random
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.campaign.grid import CampaignGrid, CellSpec
+from repro.campaign.grid import CampaignGrid
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.api.session import SessionResult
+    from repro.api.spec import ScenarioSpec
     from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 from repro.campaign.results import ARTIFACT_VERSION, CampaignArtifact, CellResult
 from repro.campaign.runner import ExperimentRunner
 from repro.campaign.sweep import run_sweep
-from repro.defenses.base import Defense
-from repro.sim import SimClock
-from repro.ssd.geometry import SSDGeometry
-
-#: Names forwarded lazily from :mod:`repro.api.session` (they moved
-#: there when the facade became the implementation layer).
-_API_ALIASES = {
-    "ScenarioOutcome": "SessionResult",
-    "SessionResult": "SessionResult",
-    "score_recovery": "score_recovery",
-    "score_forensics": "score_forensics",
-}
 
 
-def __getattr__(name: str) -> object:
-    """Forward the moved scenario-scoring names to :mod:`repro.api.session`."""
-    if name in _API_ALIASES:
-        from repro.api import session as api_session
-
-        return getattr(api_session, _API_ALIASES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def execute_scenario(
-    defense_factory: Callable[[SSDGeometry, SimClock], Defense],
-    attack_factory: Callable[[], object],
-    workload: Callable[..., None],
-    geometry: SSDGeometry,
-    victim_files: int,
-    file_size_bytes: int,
-    env_seed: int,
-    workload_rng: random.Random,
-    user_activity_hours: float,
-    recent_edit_fraction: float,
-    observers: Optional[Sequence[object]] = None,
-) -> "SessionResult":
-    """Run one (defense, attack, workload) scenario from live factories.
-
-    A thin wrapper that builds a :class:`~repro.api.session.Session`
-    from explicit overrides -- the path for callers outside the
-    registries, such as the capability matrix with its historical fixed
-    seeds.  ``observers`` are passive ``IOObserver`` objects subscribed
-    to the session's bus; they must not perturb the scenario.  Returns
-    the session's :class:`~repro.api.session.SessionResult`.
-    """
-    from repro.api.session import Session
-
-    session = Session(
-        defense_factory=defense_factory,
-        attack_factory=attack_factory,
-        workload=workload,
-        geometry=geometry,
-        victim_files=victim_files,
-        file_size_bytes=file_size_bytes,
-        user_activity_hours=user_activity_hours,
-        recent_edit_fraction=recent_edit_fraction,
-        env_seed=env_seed,
-        workload_rng=workload_rng,
-        observers=observers or (),
-    )
-    return session.run()
-
-
-def execute_cell_scenario(
-    spec: CellSpec, observers: Optional[Sequence[object]] = None
-) -> "SessionResult":
-    """Execute one cell spec and keep the live scenario objects.
-
-    Builds the cell as a ``ScenarioSpec`` + ``Session`` (the facade
-    path); ``run_cell`` reduces the result to a picklable
-    :class:`~repro.campaign.results.CellResult`, while the
-    ``repro recover`` CLI calls this directly so it can keep
-    interrogating the defense (forensics, recovery) after the cell was
-    scored.
-    """
-    from repro.api.session import Session
-    from repro.api.spec import ScenarioSpec
-
-    session = Session(ScenarioSpec.from_cell(spec), observers=observers or ())
-    return session.run()
-
-
-def run_cell(spec: CellSpec) -> CellResult:
+def run_cell(spec: "ScenarioSpec") -> CellResult:
     """Execute one cell spec (module-level, so process pools can pickle it)."""
-    return execute_cell_scenario(spec).to_cell_result()
+    from repro.api.session import Session
 
-
-def cell_spec_hash(spec: CellSpec) -> str:
-    """The content hash identifying a cell for the result cache.
-
-    A cell's cache identity is its :class:`~repro.api.spec.ScenarioSpec`
-    hash -- the canonical JSON of every name, size and *resolved* seed
-    -- so any change to what the cell would execute changes the key,
-    and nothing else does.
-    """
-    from repro.api.spec import ScenarioSpec
-
-    return ScenarioSpec.from_cell(spec).spec_hash()
+    return Session(spec).run().to_cell_result()
 
 
 def run_campaign(
@@ -135,11 +40,11 @@ def run_campaign(
     jobs: int = 0,
     filters: Optional[Sequence[str]] = None,
     runner: Optional[ExperimentRunner] = None,
-    specs: Optional[List[CellSpec]] = None,
+    specs: Optional[List["ScenarioSpec"]] = None,
     cache: Optional["ResultCache"] = None,
     journal: Optional["CheckpointJournal"] = None,
     resume: bool = False,
-    after_cell: Optional[Callable[[int, CellSpec, CellResult], None]] = None,
+    after_cell: Optional[Callable[[int, "ScenarioSpec", CellResult], None]] = None,
 ) -> CampaignArtifact:
     """Execute a grid and assemble the (order-independent) artifact.
 
@@ -168,7 +73,6 @@ def run_campaign(
         specs,
         run_cell,
         key_fn=attrgetter("cell_key"),
-        hash_fn=cell_spec_hash,
         encode=CellResult.to_dict,
         decode=CellResult.from_dict,
         backend=backend,

@@ -1,55 +1,27 @@
-"""Declarative campaign grids and per-cell specifications.
+"""Declarative campaign grids.
 
 A grid is the cartesian product of named defenses, attacks, workload
 generators and device configs plus shared scenario parameters.  It
-expands into :class:`CellSpec` records that carry everything a worker
-process needs -- names and numbers only, so specs pickle cleanly and the
-process-pool backend stays trivial.
+expands into :class:`~repro.api.spec.ScenarioSpec` cells -- names and
+numbers only, so specs pickle cleanly and the process-pool backend
+stays trivial.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign import registries
-from repro.campaign.seeding import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.api.spec import ScenarioSpec
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One fully-specified (defense, attack, workload, device) scenario.
-
-    ``env_seed`` / ``workload_seed`` / ``attack_seed`` are materialized
-    at grid expansion, derived from ``(campaign_seed, cell_key)``, so a
-    spec is self-contained: executing it anywhere, in any order, on any
-    backend gives the same result.
-    """
-
-    defense: str
-    attack: str
-    workload: str
-    device_config: str
-    victim_files: int
-    file_size_bytes: int
-    user_activity_hours: float
-    recent_edit_fraction: float
-    env_seed: int
-    workload_seed: int
-    attack_seed: int
-
-    @property
-    def cell_key(self) -> str:
-        """Stable identifier: defense/attack/workload/device_config."""
-        return f"{self.defense}/{self.attack}/{self.workload}/{self.device_config}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready view of the spec (names and numbers only)."""
-        return asdict(self)
-
-
-def filter_specs(specs: Iterable[CellSpec], patterns: Sequence[str]) -> List[CellSpec]:
+def filter_specs(
+    specs: Iterable["ScenarioSpec"], patterns: Sequence[str]
+) -> List["ScenarioSpec"]:
     """Keep specs whose cell key matches any shell-style pattern.
 
     A bare substring (no glob metacharacters) matches anywhere in the
@@ -154,29 +126,31 @@ class CampaignGrid:
             seed=83,
         )
 
-    def cells(self, filters: Optional[Sequence[str]] = None) -> List[CellSpec]:
-        """Expand the grid (defense-major order) into seeded cell specs."""
-        specs: List[CellSpec] = []
-        for defense in self.defenses:
-            for attack in self.attacks:
-                for workload in self.workloads:
-                    for device_config in self.device_configs:
-                        key = f"{defense}/{attack}/{workload}/{device_config}"
-                        specs.append(
-                            CellSpec(
-                                defense=defense,
-                                attack=attack,
-                                workload=workload,
-                                device_config=device_config,
-                                victim_files=self.victim_files,
-                                file_size_bytes=self.file_size_bytes,
-                                user_activity_hours=self.user_activity_hours,
-                                recent_edit_fraction=self.recent_edit_fraction,
-                                env_seed=derive_seed(self.seed, key, "env"),
-                                workload_seed=derive_seed(self.seed, key, "workload"),
-                                attack_seed=derive_seed(self.seed, key, "attack"),
-                            )
-                        )
+    def cells(self, filters: Optional[Sequence[str]] = None) -> List["ScenarioSpec"]:
+        """Expand the grid (defense-major order) into seeded scenario specs.
+
+        Every cell carries the grid's ``seed``, so its env, workload and
+        attack seeds derive from ``(seed, cell_key)``.
+        """
+        from repro.api.spec import ScenarioSpec
+
+        specs = [
+            ScenarioSpec(
+                defense=defense,
+                attack=attack,
+                workload=workload,
+                device=device_config,
+                victim_files=self.victim_files,
+                file_size_bytes=self.file_size_bytes,
+                user_activity_hours=self.user_activity_hours,
+                recent_edit_fraction=self.recent_edit_fraction,
+                seed=self.seed,
+            )
+            for defense in self.defenses
+            for attack in self.attacks
+            for workload in self.workloads
+            for device_config in self.device_configs
+        ]
         return filter_specs(specs, filters or [])
 
     def describe(self) -> Dict[str, object]:

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
-from repro.campaign.grid import CampaignGrid, CellSpec
+from repro.campaign.grid import CampaignGrid
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.api.spec import ScenarioSpec
     from repro.campaign.cache import ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 from repro.campaign.runner import ExperimentRunner
@@ -118,19 +119,19 @@ def auc_from_points(points: Sequence[RocPoint]) -> float:
     return area
 
 
-def run_roc_cell(spec: CellSpec) -> List[RocCurve]:
+def run_roc_cell(spec: "ScenarioSpec") -> List[RocCurve]:
     """Execute one cell with labelled-op capture and sweep every detector.
 
     Module-level (and returning plain dataclasses) so process pools can
     pickle it, exactly like :func:`repro.campaign.engine.run_cell`.  The
-    cell runs as a ``ScenarioSpec`` + ``Session`` with the
+    cell runs as a ``Session`` with the
     :class:`~repro.core.detection.DetectionTraceObserver` subscribed to
     the session's event bus -- ROC labelling is an ordinary subscriber.
     """
-    from repro.campaign.engine import execute_cell_scenario
+    from repro.api.session import Session
 
     observer = DetectionTraceObserver()
-    scenario = execute_cell_scenario(spec, observers=[observer])
+    scenario = Session(spec, observers=[observer]).run()
     samples = observer.samples(scenario.attack_outcome.malicious_streams)
     curves: List[RocCurve] = []
     for detector in detector_names():
@@ -160,7 +161,7 @@ def run_roc_cell(spec: CellSpec) -> List[RocCurve]:
                 defense=spec.defense,
                 attack=spec.attack,
                 workload=spec.workload,
-                device_config=spec.device_config,
+                device_config=spec.device,
                 detector=detector,
                 default_threshold=default_threshold,
                 tpr_at_default=default_matrix.true_positive_rate,
@@ -203,16 +204,16 @@ def run_roc(
     jobs: int = 0,
     filters: Optional[Sequence[str]] = None,
     runner: Optional[ExperimentRunner] = None,
-    specs: Optional[List[CellSpec]] = None,
+    specs: Optional[List["ScenarioSpec"]] = None,
     cache: Optional["ResultCache"] = None,
     journal: Optional["CheckpointJournal"] = None,
     resume: bool = False,
-    after_cell: Optional[Callable[[int, CellSpec, List[RocCurve]], None]] = None,
+    after_cell: Optional[Callable[[int, "ScenarioSpec", List[RocCurve]], None]] = None,
 ) -> RocArtifact:
     """Execute a grid's cells with detection-quality (ROC) capture.
 
     The same contract as :func:`repro.campaign.engine.run_campaign`:
-    every cell runs as a ``ScenarioSpec`` + ``Session`` with the
+    every cell runs as a ``Session`` with the
     labelled-op capture subscribed to the session bus, ``specs``
     overrides the grid expansion, results assemble order-independently,
     and any backend yields a bit-identical artifact.  ``cache`` /
@@ -220,8 +221,6 @@ def run_roc(
     layer of :func:`~repro.campaign.sweep.run_sweep` -- one journal
     record per cell, carrying that cell's full curve list.
     """
-    from repro.campaign.engine import cell_spec_hash
-
     if specs is None:
         specs = grid.cells(filters)
     run = run_sweep(
@@ -232,7 +231,6 @@ def run_roc(
         specs,
         run_roc_cell,
         key_fn=attrgetter("cell_key"),
-        hash_fn=cell_spec_hash,
         encode=lambda curves: [curve.to_dict() for curve in curves],
         decode=lambda payload: [RocCurve.from_dict(curve) for curve in payload],
         backend=backend,

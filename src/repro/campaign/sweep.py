@@ -39,10 +39,11 @@ from typing import (
 from repro.campaign.runner import ExperimentRunner
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.api.spec import ScenarioSpec
     from repro.campaign.cache import CacheStats, ResultCache
     from repro.campaign.checkpoint import CheckpointJournal
 
-SpecT = TypeVar("SpecT")
+SpecT = TypeVar("SpecT", bound="ScenarioSpec")
 ResultT = TypeVar("ResultT")
 RecordT = TypeVar("RecordT", bound="SweepRecord")
 ArtifactT = TypeVar("ArtifactT", bound="SweepArtifact")
@@ -69,7 +70,6 @@ def run_sweep(
     cell_fn: Callable[[SpecT], ResultT],
     *,
     key_fn: Callable[[SpecT], str],
-    hash_fn: Callable[[SpecT], str],
     encode: Callable[[ResultT], object],
     decode: Callable[[Any], ResultT],
     backend: str = "sequential",
@@ -87,8 +87,9 @@ def run_sweep(
     JSON-ready ``describe`` payload, and the cache stores cells under
     ``f"{kind}-cell"``.  ``key_fn`` gives each spec's journal key (keys
     must be unique -- a repeated key raises ``ValueError`` naming it),
-    ``hash_fn`` its cache identity, and ``encode``/``decode`` convert
-    results to and from their JSON payload.
+    each spec's ``spec_hash()`` its cache identity, and
+    ``encode``/``decode`` convert results to and from their JSON
+    payload.
 
     Each spec resolves in priority order from the resumed journal
     (``resume=True`` verifies the header pins this very sweep), then
@@ -132,7 +133,7 @@ def run_sweep(
                 results[index] = decode(completed[key])
                 continue
             payload = (
-                cache.get(cell_kind, hash_fn(spec), version)
+                cache.get(cell_kind, spec.spec_hash(), version)
                 if cache is not None
                 else None
             )
@@ -146,7 +147,7 @@ def run_sweep(
         for index, result in zip(pending, executed):
             payload = encode(result)
             if cache is not None:
-                cache.put(cell_kind, hash_fn(specs[index]), version, payload)
+                cache.put(cell_kind, specs[index].spec_hash(), version, payload)
             if journal is not None:
                 journal.append_cell(keys[index], payload)
             results[index] = result

@@ -18,27 +18,50 @@ Examples::
 
 ``repro run`` is the universal entry point: one scenario, described by
 a :class:`repro.api.ScenarioSpec` (from a JSON file or flags), executed
-through a :class:`repro.api.Session`.  The campaign / roc / fleet
-subcommands are grid- and fleet-level conveniences over the same path.
+through a :class:`repro.api.Session`.  ``table1``, ``campaign``,
+``roc``, ``ablate``, ``fuzz`` and ``recover`` build specs the same way
+and run each one through a ``Session`` (``table1`` with its pinned
+seeds); ``fleet`` replays a trace across defenses.  An unknown or
+repeated registry name, or an invalid size, prints ``error: <message>``
+and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro import __version__
 from repro.analysis import experiments as ex
 from repro.analysis.figures import render_figure2
 from repro.analysis.reporting import format_table
-from repro.defenses.matrix import CapabilityMatrix
+from repro.defenses.matrix import format_capability_table
+
+
+@contextlib.contextmanager
+def _usage_errors() -> Iterator[None]:
+    """Report a rejected name or value as ``error: <message>`` (exit 1).
+
+    Wraps only the building of grids, specs and name lists, where an
+    unknown registry name raises ``KeyError`` and a repeated name or an
+    invalid size raises ``ValueError``; scenario execution stays outside.
+    """
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"error: {exc.args[0] if exc.args else exc}")
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
+    from repro.campaign import registries
+
+    with _usage_errors():
+        registries.validate_names(args.defenses or [], [], [], [])
     rows = ex.run_capability_matrix(defense_names=args.defenses)
-    return CapabilityMatrix.format_table(rows)
+    return format_capability_table(rows)
 
 
 def _cmd_figure2(args: argparse.Namespace) -> str:
@@ -133,7 +156,8 @@ def _grid_with_overrides(grid, pairs) -> object:
     import dataclasses
 
     overrides = {name: value for name, value in pairs if value is not None}
-    return dataclasses.replace(grid, **overrides) if overrides else grid
+    with _usage_errors():
+        return dataclasses.replace(grid, **overrides) if overrides else grid
 
 
 def _resolve_backend(args: argparse.Namespace) -> str:
@@ -332,7 +356,6 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
     import dataclasses
 
     from repro.ablation import (
-        AblationError,
         AblationStudy,
         calculate_metrics,
         render_impact_csv,
@@ -355,7 +378,7 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
         )
         if value is not None
     }
-    try:
+    with _usage_errors():
         if overrides:
             base = dataclasses.replace(base, **overrides)
         study = AblationStudy(
@@ -364,8 +387,6 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
             mode=args.mode,
             attacks=tuple(args.attacks) if args.attacks else study.attacks,
         )
-    except (AblationError, KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
     options = _sweep_options(args)
     artifact = study.run(**options)
     impacts = calculate_metrics(artifact)
@@ -393,7 +414,7 @@ def _cmd_ablate(args: argparse.Namespace) -> str:
 
 def _cmd_recover(args: argparse.Namespace) -> str:
     from repro.analysis.reporting import render_attack_timeline
-    from repro.campaign.engine import execute_cell_scenario
+    from repro.api import Session
     from repro.campaign.grid import CampaignGrid
     from repro.forensics import reference_image
     from repro.sim import format_duration
@@ -405,7 +426,7 @@ def _cmd_recover(args: argparse.Namespace) -> str:
     if not matches:
         known = "\n  ".join(spec.cell_key for spec in grid.cells())
         raise SystemExit(f"unknown cell {args.cell!r}; cells in this grid:\n  {known}")
-    scenario = execute_cell_scenario(matches[0])
+    scenario = Session(matches[0]).run()
     defense = scenario.defense
     if not hasattr(defense, "forensics_engine"):
         raise SystemExit(
@@ -547,7 +568,7 @@ def _spec_with_overrides(spec, args: argparse.Namespace):
 
     Anything that changes the scenario key or the master seed also
     drops the stored per-stream seeds, so they re-derive from
-    ``(seed, scenario_key)`` -- otherwise the run would silently reuse
+    ``(seed, cell_key)`` -- otherwise the run would silently reuse
     seeds resolved for a different scenario.
     """
     import dataclasses
@@ -575,7 +596,7 @@ def _render_session(spec, session, result) -> str:
 
     outcome = result.attack_outcome
     lines = [
-        f"Scenario: {spec.scenario_key} (spec hash {spec.spec_hash()[:16]})",
+        f"Scenario: {spec.cell_key} (spec hash {spec.spec_hash()[:16]})",
         f"attack ran {format_duration(outcome.start_us)} -> "
         f"{format_duration(outcome.end_us)}, "
         f"{len(outcome.victim_lbas)} victim pages",
@@ -689,27 +710,28 @@ def _cmd_run(args: argparse.Namespace) -> str:
             raise SystemExit(1)
         return output
 
-    if spec_paths:
-        spec = _spec_with_overrides(ScenarioSpec.load(spec_paths[0]), args)
-    else:
-        spec = ScenarioSpec(
-            defense=args.defense or "RSSD",
-            attack=args.attack or "classic",
-            workload=args.workload or "office-edit",
-            device=args.device or "tiny",
-            **{
-                name: value
-                for name, value in (
-                    ("victim_files", args.victim_files),
-                    ("seed", args.seed),
-                )
-                if value is not None
-            },
-        )
+    with _usage_errors():
+        if spec_paths:
+            spec = _spec_with_overrides(ScenarioSpec.load(spec_paths[0]), args)
+        else:
+            spec = ScenarioSpec(
+                defense=args.defense or "RSSD",
+                attack=args.attack or "classic",
+                workload=args.workload or "office-edit",
+                device=args.device or "tiny",
+                **{
+                    name: value
+                    for name, value in (
+                        ("victim_files", args.victim_files),
+                        ("seed", args.seed),
+                    )
+                    if value is not None
+                },
+            )
     if args.emit_spec:
         spec.save(args.emit_spec)
     if args.no_run:
-        sections = [f"validated spec for {spec.scenario_key} (hash {spec.spec_hash()[:16]})"]
+        sections = [f"validated spec for {spec.cell_key} (hash {spec.spec_hash()[:16]})"]
         if args.emit_spec:
             sections.append(f"spec written to {args.emit_spec}")
         return "; ".join(sections)

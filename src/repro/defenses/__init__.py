@@ -26,9 +26,8 @@ from repro.defenses.base import (
 from repro.defenses.flashguard import FlashGuardDefense
 from repro.defenses.matrix import (
     CapabilityCell,
-    CapabilityMatrix,
     MatrixRow,
-    default_defense_factories,
+    format_capability_table,
     recovery_grade,
 )
 from repro.defenses.rblocker import RBlockerDefense
@@ -46,7 +45,6 @@ from repro.defenses.unprotected import UnprotectedSSD
 
 __all__ = [
     "CapabilityCell",
-    "CapabilityMatrix",
     "CloudBackupDefense",
     "CryptoDropDefense",
     "Defense",
@@ -63,6 +61,6 @@ __all__ = [
     "TimeSSDDefense",
     "UnprotectedSSD",
     "UnveilDefense",
-    "default_defense_factories",
+    "format_capability_table",
     "recovery_grade",
 ]

@@ -1,6 +1,6 @@
 """Capability matrix: the measured version of the paper's Table 1.
 
-For every (defense, attack) pair the harness builds a fresh victim
+For every (defense, attack) pair one scenario builds a fresh victim
 environment, lets a background user work on the files for a while,
 optionally lets the attacker disable host-resident defenses (aggressive
 attacks run with administrator privilege), executes the attack, and
@@ -8,24 +8,16 @@ then asks the defense to produce the pre-attack version of every victim
 page.  The fraction it can produce is the measured recovery capability;
 ``✔`` / ``✗`` and ``●`` / ``◗`` / ``❍`` are derived from it.
 
-This module is a compatibility facade: scenario execution lives in
-:mod:`repro.campaign.engine` (shared with the campaign CLI and the
-golden-run suite), and the defense/attack registries live in
-:mod:`repro.campaign.registries`.  The matrix keeps its historical
-fixed seeding -- one ``seed`` for every cell -- so results are
-unchanged from before the refactor; campaigns derive per-cell seeds
-instead.
+This module holds the grading thresholds, the row and cell records and
+the Table-1 layout.  The scenarios themselves are ordinary
+:class:`~repro.api.spec.ScenarioSpec` runs with pinned seeds, built by
+:func:`repro.analysis.experiments.run_capability_matrix`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-from repro.defenses.base import Defense
-from repro.sim import SimClock
-from repro.ssd.geometry import SSDGeometry
+from typing import Dict, List
 
 #: Recovery fraction at or above which an attack counts as "defended".
 DEFENDED_THRESHOLD = 0.99
@@ -94,134 +86,23 @@ class MatrixRow:
         return "❍"
 
 
-DefenseFactory = Callable[[SSDGeometry, SimClock], Defense]
-AttackFactory = Callable[[], object]
-
-
-def default_defense_factories() -> Dict[str, DefenseFactory]:
-    """Factories for every row of Table 1 (plus the unprotected floor)."""
-    from repro.campaign.registries import DEFENSES
-
-    return dict(DEFENSES)
-
-
-def default_attack_factories(seed: int = 97) -> Dict[str, AttackFactory]:
-    """Factories for the attack columns of the matrix."""
-    from repro.campaign.registries import ATTACKS, DEFAULT_ATTACKS
-
-    return {
-        name: (lambda name=name: ATTACKS[name](seed)) for name in DEFAULT_ATTACKS
-    }
-
-
-class CapabilityMatrix:
-    """Runs attack x defense scenarios and assembles the matrix."""
-
-    def __init__(
-        self,
-        geometry: Optional[SSDGeometry] = None,
-        victim_files: int = 24,
-        file_size_bytes: int = 8192,
-        user_activity_hours: float = 30.0,
-        recent_edit_fraction: float = 0.3,
-        seed: int = 23,
-    ) -> None:
-        self.geometry = geometry if geometry is not None else SSDGeometry.tiny()
-        self.victim_files = victim_files
-        self.file_size_bytes = file_size_bytes
-        self.user_activity_hours = user_activity_hours
-        self.recent_edit_fraction = recent_edit_fraction
-        self.seed = seed
-
-    # -- scenario pieces ---------------------------------------------------------
-
-    def _user_activity(self, env) -> None:
-        """Pre-attack user workload (the engine's office-edit generator)."""
-        from repro.campaign.registries import office_edit_activity
-
-        office_edit_activity(
-            env,
-            random.Random(self.seed + 1),
-            self.user_activity_hours,
-            self.recent_edit_fraction,
+def format_capability_table(rows: List[MatrixRow]) -> str:
+    """Render the matrix the way the paper's Table 1 is laid out."""
+    header = (
+        f"{'Defense':<12} {'GC':>4} {'Timing':>7} {'Trimming':>9} "
+        f"{'Recovery':>9} {'Forensics':>10}"
+    )
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        gc = row.cells.get("gc-attack")
+        timing = row.cells.get("timing-attack")
+        trimming = row.cells.get("trimming-attack")
+        lines.append(
+            f"{row.defense:<12} "
+            f"{gc.symbol if gc else '-':>4} "
+            f"{timing.symbol if timing else '-':>7} "
+            f"{trimming.symbol if trimming else '-':>9} "
+            f"{row.recovery_symbol:>9} "
+            f"{'✔' if row.supports_forensics else '✗':>10}"
         )
-
-    def run_scenario(
-        self, defense_factory: DefenseFactory, attack_factory: AttackFactory
-    ) -> CapabilityCell:
-        """Run one (defense, attack) scenario and score it."""
-        from repro.campaign.engine import execute_scenario
-        from repro.campaign.registries import office_edit_activity
-
-        scenario = execute_scenario(
-            defense_factory=defense_factory,
-            attack_factory=attack_factory,
-            workload=office_edit_activity,
-            geometry=self.geometry,
-            victim_files=self.victim_files,
-            file_size_bytes=self.file_size_bytes,
-            env_seed=self.seed,
-            workload_rng=random.Random(self.seed + 1),
-            user_activity_hours=self.user_activity_hours,
-            recent_edit_fraction=self.recent_edit_fraction,
-        )
-        outcome = scenario.attack_outcome
-        return CapabilityCell(
-            attack=outcome.attack_name,
-            recovery_fraction=scenario.recovery_fraction,
-            defended=scenario.defended,
-            detected=scenario.detected,
-            compromised=scenario.compromised,
-            victim_pages=len(outcome.victim_lbas),
-            pages_recovered=scenario.pages_recovered,
-            attack_duration_us=outcome.duration_us,
-        )
-
-    def _score_recovery(self, defense: Defense, env, outcome):
-        from repro.campaign.engine import score_recovery
-
-        return score_recovery(defense, env, outcome)
-
-    # -- full matrix -----------------------------------------------------------------
-
-    def run(
-        self,
-        defense_factories: Optional[Dict[str, DefenseFactory]] = None,
-        attack_factories: Optional[Dict[str, AttackFactory]] = None,
-    ) -> List[MatrixRow]:
-        defenses = defense_factories if defense_factories is not None else default_defense_factories()
-        attacks = attack_factories if attack_factories is not None else default_attack_factories()
-        rows: List[MatrixRow] = []
-        for defense_name, defense_factory in defenses.items():
-            probe = defense_factory(self.geometry, SimClock())
-            row = MatrixRow(
-                defense=defense_name,
-                hardware_isolated=probe.hardware_isolated,
-                supports_forensics=probe.supports_forensics,
-            )
-            for attack_name, attack_factory in attacks.items():
-                row.cells[attack_name] = self.run_scenario(defense_factory, attack_factory)
-            rows.append(row)
-        return rows
-
-    @staticmethod
-    def format_table(rows: List[MatrixRow]) -> str:
-        """Render the matrix the way the paper's Table 1 is laid out."""
-        header = (
-            f"{'Defense':<12} {'GC':>4} {'Timing':>7} {'Trimming':>9} "
-            f"{'Recovery':>9} {'Forensics':>10}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in rows:
-            gc = row.cells.get("gc-attack")
-            timing = row.cells.get("timing-attack")
-            trimming = row.cells.get("trimming-attack")
-            lines.append(
-                f"{row.defense:<12} "
-                f"{gc.symbol if gc else '-':>4} "
-                f"{timing.symbol if timing else '-':>7} "
-                f"{trimming.symbol if trimming else '-':>9} "
-                f"{row.recovery_symbol:>9} "
-                f"{'✔' if row.supports_forensics else '✗':>10}"
-            )
-        return "\n".join(lines)
+    return "\n".join(lines)

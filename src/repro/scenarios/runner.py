@@ -103,7 +103,7 @@ def run_fuzz_cell(spec: "ScenarioSpec") -> FuzzCellResult:
         # fuzzer's job is to record what the drawn scenario does.
         return FuzzCellResult(
             spec_hash=spec.spec_hash(),
-            scenario_key=spec.scenario_key,
+            scenario_key=spec.cell_key,
             region=region_of(spec),
             spec=spec.to_dict(),
             recovery_fraction=0.0,
@@ -118,7 +118,7 @@ def run_fuzz_cell(spec: "ScenarioSpec") -> FuzzCellResult:
         )
     return FuzzCellResult(
         spec_hash=spec.spec_hash(),
-        scenario_key=spec.scenario_key,
+        scenario_key=spec.cell_key,
         region=region_of(spec),
         spec=spec.to_dict(),
         recovery_fraction=result.recovery_fraction,
@@ -231,7 +231,6 @@ def run_fuzz(
         unique_specs,
         run_fuzz_cell,
         key_fn=_fuzz_cell_key,
-        hash_fn=_fuzz_cell_key,
         encode=FuzzCellResult.to_dict,
         decode=FuzzCellResult.from_dict,
         backend=backend,

@@ -191,7 +191,7 @@ class TestSpecCompat:
         plain = ScenarioSpec()
         ablated = ScenarioSpec(ablation=("enhanced-trim",))
         assert ablated.spec_hash() != plain.spec_hash()
-        assert ablated.scenario_key == plain.scenario_key
+        assert ablated.cell_key == plain.cell_key
         # Identical rng streams: deltas are attributable to the toggle.
         assert ablated.resolved_env_seed == plain.resolved_env_seed
         assert ablated.resolved_attack_seed == plain.resolved_attack_seed
@@ -219,10 +219,6 @@ class TestSpecCompat:
         with pytest.raises(SpecValidationError) as excinfo:
             ScenarioSpec.from_dict(payload)
         assert excinfo.value.field == "ablation"
-
-    def test_ablated_specs_cannot_become_campaign_cells(self):
-        with pytest.raises(ValueError, match="ablation"):
-            ScenarioSpec(ablation=("enhanced-trim",)).to_cell()
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +426,3 @@ class TestCli:
 
         artifact = CampaignArtifact.load(str(out))
         assert artifact.cell_keys == ["LocalSSD/classic/office-edit/tiny"]
-
-
-# ---------------------------------------------------------------------------
-# Legacy entry-point shims
-# ---------------------------------------------------------------------------
-
-
-class TestLegacyShims:
-    def test_legacy_entry_points_warn_once_and_delegate(self):
-        import warnings
-
-        from repro.analysis import experiments as legacy
-        from repro._deprecation import reset_warned
-
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = legacy.run_trim_ablation(victim_files=4)
-        assert [row.mode for row in rows] == ["enhanced", "naive", "disabled"]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.ablation.experiments" in str(deprecations[0].message)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.api import (
@@ -161,9 +159,9 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError, match="already provisioned"):
             session.provision()
 
-    def test_explicit_overrides_require_all_pieces(self):
-        with pytest.raises(ValueError, match="missing"):
-            Session()  # neither spec nor overrides
+    def test_session_requires_a_spec(self):
+        with pytest.raises(TypeError, match="spec"):
+            Session()  # type: ignore[call-arg]
 
     def test_views_require_the_right_phase(self):
         session = Session(tiny_spec())
@@ -191,7 +189,7 @@ class TestSessionLifecycle:
 
     def test_spec_overrides_are_recorded_in_the_result_provenance(self):
         """to_cell_result reports the seeds/sizes that actually ran."""
-        session = Session(tiny_spec(defense="LocalSSD"), env_seed=999, victim_files=4)
+        session = Session(tiny_spec(defense="LocalSSD", env_seed=999, victim_files=4))
         cell = session.run().to_cell_result()
         assert cell.env_seed == 999
         assert session.result.spec.victim_files == 4
@@ -200,12 +198,11 @@ class TestSessionLifecycle:
         from repro.campaign import registries
 
         session = Session(
-            tiny_spec(defense="LocalSSD"),
-            attack_factory=lambda: registries.ATTACKS["classic"](3),
+            tiny_spec(defense="LocalSSD"), workload=registries.WORKLOADS["idle"]
         )
         result = session.run()
         assert result.spec is None
-        with pytest.raises(ValueError, match="factory overrides"):
+        with pytest.raises(ValueError, match="workload override"):
             result.to_cell_result()
 
     def test_detection_time_and_latency_agree(self):
@@ -288,24 +285,15 @@ class TestFacadeEngineEquivalence:
         grid = CampaignGrid.tiny()
         for cell in grid.cells()[:2]:
             engine_result = run_cell(cell)
-            session = Session(ScenarioSpec.from_cell(cell, campaign_seed=grid.seed))
-            facade_result = session.run().to_cell_result()
+            facade_result = Session(cell).run().to_cell_result()
             assert facade_result.to_dict() == engine_result.to_dict()
 
     def test_to_cell_result_requires_a_spec(self):
         from repro.campaign import registries
 
         session = Session(
-            defense_factory=registries.DEFENSES["LocalSSD"],
-            attack_factory=lambda: registries.ATTACKS["classic"](3),
+            ScenarioSpec(defense="LocalSSD", victim_files=4, user_activity_hours=1.0),
             workload=registries.WORKLOADS["office-edit"],
-            geometry=SSDGeometry.tiny(),
-            victim_files=4,
-            file_size_bytes=8192,
-            user_activity_hours=1.0,
-            recent_edit_fraction=0.3,
-            env_seed=5,
-            workload_rng=random.Random(6),
         )
         result = session.run()
         with pytest.raises(ValueError, match="ScenarioSpec"):

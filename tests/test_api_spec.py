@@ -14,7 +14,7 @@ from repro.campaign.seeding import derive_seed
 class TestValidation:
     def test_default_spec_is_valid(self):
         spec = ScenarioSpec()
-        assert spec.scenario_key == "RSSD/classic/office-edit/tiny"
+        assert spec.cell_key == "RSSD/classic/office-edit/tiny"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -79,7 +79,7 @@ class TestValidation:
 class TestSeeds:
     def test_seeds_derive_the_campaign_sha256_way(self):
         spec = ScenarioSpec(seed=71)
-        key = spec.scenario_key
+        key = spec.cell_key
         assert spec.resolved_env_seed == derive_seed(71, key, "env")
         assert spec.resolved_workload_seed == derive_seed(71, key, "workload")
         assert spec.resolved_attack_seed == derive_seed(71, key, "attack")
@@ -190,12 +190,14 @@ class TestCliSpecPlumbing:
         assert rebuilt.resolved_env_seed == expected.resolved_env_seed
 
     def test_same_value_flags_keep_a_spec_s_explicit_seeds(self, tmp_path, capsys):
-        """A no-op flag must not reset grid-derived seeds (seed=0 provenance)."""
+        """A no-op flag must not reset explicit seeds that ``seed`` does not derive."""
+        import dataclasses
+
         from repro.cli import main
 
-        cell = CampaignGrid.tiny().cells()[0]
+        cell = dataclasses.replace(CampaignGrid.tiny().cells()[0].resolve_seeds(), seed=0)
         stored = tmp_path / "cell.json"
-        ScenarioSpec.from_cell(cell).save(str(stored))
+        cell.save(str(stored))
         out = tmp_path / "out.json"
         main(
             [
@@ -210,22 +212,20 @@ class TestCliSpecPlumbing:
         rebuilt = ScenarioSpec.load(str(out))
         assert rebuilt.resolved_env_seed == cell.env_seed
         assert rebuilt.resolved_attack_seed == cell.attack_seed
+        assert rebuilt.resolved_env_seed != derive_seed(0, cell.cell_key, "env")
 
 
 class TestCampaignInterop:
-    def test_from_cell_reproduces_the_cell_identity(self):
+    def test_grid_cells_carry_the_cell_identity(self):
         grid = CampaignGrid.tiny()
         cell = grid.cells()[0]
-        spec = ScenarioSpec.from_cell(cell, campaign_seed=grid.seed)
-        assert spec.scenario_key == cell.cell_key
-        assert spec.resolved_env_seed == cell.env_seed
-        assert spec.resolved_workload_seed == cell.workload_seed
-        assert spec.resolved_attack_seed == cell.attack_seed
-
-    def test_to_cell_round_trips(self):
-        grid = CampaignGrid.tiny()
-        cell = grid.cells()[3]
-        assert ScenarioSpec.from_cell(cell).to_cell() == cell
+        assert cell.cell_key == "LocalSSD/classic/office-edit/tiny"
+        assert cell.seed == grid.seed
+        assert cell.resolved_env_seed == derive_seed(grid.seed, cell.cell_key, "env")
+        assert cell.resolved_workload_seed == derive_seed(
+            grid.seed, cell.cell_key, "workload"
+        )
+        assert cell.resolved_attack_seed == derive_seed(grid.seed, cell.cell_key, "attack")
 
     def test_spec_derivation_matches_grid_expansion(self):
         """A spec seeded like the grid derives the very same cell seeds."""
@@ -235,11 +235,12 @@ class TestCampaignInterop:
                 defense=cell.defense,
                 attack=cell.attack,
                 workload=cell.workload,
-                device=cell.device_config,
+                device=cell.device,
                 victim_files=cell.victim_files,
                 file_size_bytes=cell.file_size_bytes,
                 user_activity_hours=cell.user_activity_hours,
                 recent_edit_fraction=cell.recent_edit_fraction,
                 seed=grid.seed,
             )
-            assert spec.to_cell() == cell
+            assert spec == cell
+            assert spec.resolve_seeds().spec_hash() == cell.spec_hash()

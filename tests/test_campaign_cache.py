@@ -30,7 +30,6 @@ from repro.campaign import (
 )
 from repro.campaign import engine as campaign_engine
 from repro.campaign.cache import FINGERPRINT_ENV, CacheStats
-from repro.campaign.engine import cell_spec_hash
 
 
 def small_grid(**overrides) -> CampaignGrid:
@@ -189,14 +188,14 @@ class TestCampaignWarmCache:
             "stores": 2,
         }
         assert len(run_cell_spy.calls) == 4
-        assert artifact.cells[0].env_seed != small_grid().cells()[0].env_seed
+        assert artifact.cells[0].env_seed != small_grid().cells()[0].resolved_env_seed
 
     def test_artifact_version_bump_invalidates_stored_cells(self, tmp_path):
         grid = small_grid()
         cache_root = str(tmp_path / "cache")
         run_campaign(grid, cache=ResultCache(cache_root))
         probe = ResultCache(cache_root)
-        spec_hash = cell_spec_hash(grid.cells()[0])
+        spec_hash = grid.cells()[0].spec_hash()
         assert probe.get("campaign-cell", spec_hash, ARTIFACT_VERSION) is not None
         assert probe.get("campaign-cell", spec_hash, ARTIFACT_VERSION + 1) is None
         assert probe.stats.stale == 1

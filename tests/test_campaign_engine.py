@@ -15,7 +15,6 @@ import pytest
 from repro.campaign import (
     CampaignArtifact,
     CampaignGrid,
-    CellSpec,
     ExperimentRunner,
     derive_seed,
     run_campaign,
@@ -61,11 +60,12 @@ class TestSeeding:
         specs = grid.cells()
         by_key = {spec.cell_key: spec for spec in specs}
         spec = by_key["LocalSSD/classic/office-edit/tiny"]
-        assert spec.env_seed == derive_seed(13, spec.cell_key, "env")
-        assert spec.attack_seed == derive_seed(13, spec.cell_key, "attack")
+        assert spec.seed == 13
+        assert spec.resolved_env_seed == derive_seed(13, spec.cell_key, "env")
+        assert spec.resolved_attack_seed == derive_seed(13, spec.cell_key, "attack")
         # A different campaign seed re-seeds every cell.
         respec = small_grid(seed=14).cells()[0]
-        assert respec.env_seed != specs[0].env_seed
+        assert respec.resolved_env_seed != specs[0].resolved_env_seed
 
 
 class TestGrid:
@@ -204,13 +204,13 @@ class TestCliGridValidation:
     def test_unknown_defense_fails_fast(self):
         from repro.cli import main
 
-        with pytest.raises(KeyError, match="NotADefense"):
+        with pytest.raises(SystemExit, match="error: unknown defenses.*NotADefense"):
             main(["campaign", "--defenses", "NotADefense"])
 
     def test_zero_victim_files_rejected(self):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="victim_files"):
+        with pytest.raises(SystemExit, match="error: victim_files"):
             main(["campaign", "--victim-files", "0"])
 
 

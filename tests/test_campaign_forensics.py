@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Session
 from repro.campaign import CampaignGrid, CellResult, run_cell
-from repro.campaign.engine import execute_cell_scenario
 from repro.nvmeoe import remote as remote_module
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -106,7 +106,7 @@ class TestGoldenForensicReport:
         for spec in CampaignGrid.tiny().cells():
             if spec.defense != "RSSD":
                 continue
-            scenario = execute_cell_scenario(spec)
+            scenario = Session(spec).run()
             engine = scenario.defense.forensics_engine()
             reports[spec.cell_key] = engine.investigate(
                 recover_to_us=scenario.attack_outcome.start_us

@@ -72,6 +72,62 @@ class TestCLI:
         assert "RSSD" in output and "LocalSSD" in output
         assert "Forensics" in output
 
+    def test_table1_output_is_pinned(self, capsys):
+        """Every defense row at the CLI defaults renders byte for byte."""
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out == (
+            "Defense        GC  Timing  Trimming  Recovery  Forensics\n"
+            "--------------------------------------------------------\n"
+            "LocalSSD        ✗       ✗         ✗         ❍          ✗\n"
+            "Unveil          ✗       ✗         ✗         ❍          ✗\n"
+            "CryptoDrop      ✗       ✗         ✗         ❍          ✗\n"
+            "CloudBackup     ✗       ✔         ✗         ◗          ✗\n"
+            "ShieldFS        ✗       ✗         ✗         ◗          ✗\n"
+            "JFS             ✗       ✗         ✗         ◗          ✗\n"
+            "FlashGuard      ✔       ✗         ✗         ◗          ✗\n"
+            "TimeSSD         ✔       ✗         ✗         ◗          ✗\n"
+            "SSDInsider      ✗       ✗         ✗         ◗          ✗\n"
+            "RBlocker        ✗       ✗         ✗         ◗          ✗\n"
+            "RSSD            ✔       ✔         ✔         ●          ✔\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--defense", "Nope"],
+            ["campaign", "--defenses", "Nope"],
+            ["roc", "--defenses", "Nope"],
+            ["table1", "--defenses", "Nope"],
+        ],
+    )
+    def test_unknown_registry_name_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code).startswith("error: unknown defenses ['Nope']")
+
+    def test_table1_refuses_a_repeated_defense(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--defenses", "RSSD", "RSSD"])
+        assert excinfo.value.code == "error: repeated defenses name 'RSSD'; each may appear once"
+
+    def test_usage_error_exits_1_without_a_traceback(self):
+        import os
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "table1", "--defenses", "Nope"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("error: unknown defenses ['Nope']")
+        assert "Traceback" not in completed.stderr
+
     def test_ablation_trim_command(self, capsys):
         assert main(["ablation-trim"]) == 0
         output = capsys.readouterr().out

@@ -2,26 +2,16 @@
 
 import pytest
 
-from repro.defenses.matrix import (
-    CapabilityMatrix,
-    default_attack_factories,
-    default_defense_factories,
-    recovery_grade,
-)
-from repro.ssd.geometry import SSDGeometry
+from repro.analysis.experiments import run_capability_matrix
+from repro.campaign import registries
+from repro.defenses.matrix import format_capability_table, recovery_grade
 
 
 @pytest.fixture(scope="module")
-def matrix():
-    return CapabilityMatrix(geometry=SSDGeometry.tiny(), victim_files=12)
-
-
-@pytest.fixture(scope="module")
-def key_rows(matrix):
+def key_rows():
     """Run the matrix once for the defenses the shape assertions need."""
-    factories = default_defense_factories()
     wanted = ["LocalSSD", "CloudBackup", "FlashGuard", "TimeSSD", "SSDInsider", "RSSD"]
-    rows = matrix.run(defense_factories={name: factories[name] for name in wanted})
+    rows = run_capability_matrix(defense_names=wanted, victim_files=12)
     return {row.defense: row for row in rows}
 
 
@@ -36,7 +26,7 @@ class TestRecoveryGrade:
 
 class TestFactories:
     def test_all_table1_rows_have_factories(self):
-        names = set(default_defense_factories())
+        names = set(registries.DEFENSES)
         for expected in (
             "Unveil",
             "CryptoDrop",
@@ -52,7 +42,7 @@ class TestFactories:
             assert expected in names
 
     def test_attack_columns(self):
-        assert set(default_attack_factories()) == {
+        assert set(registries.DEFAULT_ATTACKS) == {
             "classic",
             "gc-attack",
             "timing-attack",
@@ -60,8 +50,6 @@ class TestFactories:
         }
 
     def test_unknown_defense_request_rejected(self):
-        from repro.analysis.experiments import run_capability_matrix
-
         with pytest.raises(KeyError):
             run_capability_matrix(defense_names=["NotADefense"])
 
@@ -119,7 +107,7 @@ class TestMatrixShape:
                 assert not row.supports_forensics
 
     def test_format_table_renders_every_row(self, key_rows):
-        table = CapabilityMatrix.format_table(list(key_rows.values()))
+        table = format_capability_table(list(key_rows.values()))
         for name in key_rows:
             assert name in table
         assert "Forensics" in table

@@ -171,6 +171,13 @@ class TestPersistenceContract:
             assert handle.read() == before
 
 
+class DemoSpec(str):
+    """A string spec whose cache identity is the string itself."""
+
+    def spec_hash(self) -> str:
+        return str(self)
+
+
 def identity(spec: str) -> str:
     """Module-level cell function (picklable under every backend)."""
     return spec.upper()
@@ -182,10 +189,9 @@ def plain_sweep(specs, **options):
         3,
         5,
         {"what": "demo"},
-        specs,
+        [DemoSpec(spec) for spec in specs],
         identity,
         key_fn=str,
-        hash_fn=str,
         encode=str,
         decode=str,
         **options,
@@ -251,7 +257,7 @@ class TestRepeatedNames:
             )
 
     def test_cli_refuses_repeated_names(self):
-        with pytest.raises(ValueError, match="repeated defenses name 'RSSD'"):
+        with pytest.raises(SystemExit, match="error: repeated defenses name 'RSSD'"):
             main(["campaign", "--grid", "tiny", "--defenses", "RSSD", "RSSD"])
         with pytest.raises(SystemExit, match="error: .*repeated attack"):
             main(["ablate", "--attacks", "classic", "classic"])
